@@ -107,6 +107,23 @@ class Adj:
                 queue.append(v)
         return None
 
+    def distances(self, sources, banned: tuple[int, int] | None = None) -> list[int]:
+        """Hop count from the nearest source, -1 where unreachable without
+        crossing the banned edge."""
+        ba, bb = banned if banned is not None else (-1, -1)
+        dist = [-1] * self.n
+        for s in sources:
+            dist[s] = 0
+        queue = deque(sources)
+        while queue:
+            u = queue.popleft()
+            step = dist[u] + 1
+            for v in self.nbrs[u]:
+                if dist[v] < 0 and not ((u == ba and v == bb) or (u == bb and v == ba)):
+                    dist[v] = step
+                    queue.append(v)
+        return dist
+
     def components(self, skip: int | None = None) -> list[list[int]]:
         """Connected components (excluding `skip`), ordered by smallest id."""
         seen = [False] * self.n

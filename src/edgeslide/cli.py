@@ -19,6 +19,7 @@ from .graph import (
     Graph,
     GraphError,
     ParseError,
+    _parse_ints,
     check_bijection,
     identity_bijection,
     is_isomorphic_under,
@@ -35,8 +36,11 @@ __all__ = ["run", "main", "replay"]
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise GraphError(f"{path}: byte {err.start} is not ASCII") from None
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -78,9 +82,11 @@ def _load_bijection(path: str | None, n: int) -> tuple[int, ...]:
         if parts[0] != "m" or len(parts) != 3:
             raise GraphError(f"{path}: line {lineno}: expected 'm <src> <dst>'")
         try:
-            src, dst = int(parts[1]), int(parts[2])
+            src, dst = _parse_ints(parts[1:])
         except ValueError:
-            raise GraphError(f"{path}: line {lineno}: expected integers") from None
+            raise GraphError(f"{path}: line {lineno}: expected nonnegative integers") from None
+        if src >= n:
+            raise GraphError(f"{path}: line {lineno}: source {src} out of range for n={n}")
         if src in mapping:
             raise GraphError(f"{path}: line {lineno}: duplicate source {src}")
         mapping[src] = dst
@@ -118,9 +124,7 @@ def _cmd_euler_transform(args) -> int:
     g = _load_graph(args.source)
     h = _load_graph(args.goal)
     script, mapping = transform_euler(g, h)
-    final = replay(g, script, check="full")
-    if not is_isomorphic_under(final, h, mapping):
-        raise MoveError("generated script does not verify against the goal graph")
+    _self_check(g, script, h, mapping)
     _emit(serialize_script(script), args.output)
     for i, t in enumerate(mapping):
         sys.stdout.write(f"m {i} {t}\n")

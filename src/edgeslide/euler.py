@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._adj import Adj
 from .graph import Graph, GraphError, identity_bijection
-from .moves import AddPendant, MoveScript, RemoveLeaf, Slide, Subdivide, apply_script
+from .moves import AddPendant, MoveScript, RemoveLeaf, Slide, Subdivide, replay
 from .prescribe import transform
 from .slides import _connected_after_move, _move_edge
 
@@ -109,6 +109,6 @@ def transform_euler(g: Graph, h: Graph) -> tuple[MoveScript, tuple[int, ...]]:
         prefix = expand_to_order(g, h.n)
     else:
         prefix = collapse_to_order(g, h.n)
-    mid = apply_script(g, prefix)
+    mid = replay(g, prefix)
     plan = transform(mid, h, identity_bijection(h.n))
     return prefix + plan.script, identity_bijection(h.n)

@@ -125,6 +125,19 @@ class Graph:
 # .elist parsing and serialization
 
 
+def _parse_ints(tokens: Sequence[str]) -> list[int]:
+    """Integers from ``str.split()`` tokens written in ASCII digits only.
+
+    ``int()`` alone also accepts signs, underscores (``1_0`` is 10) and
+    non-ASCII digits; any such token raises ValueError here.  Split
+    tokens are never empty, so checking them joined checks each one.
+    """
+    joined = "".join(tokens)
+    if not (joined.isdigit() and joined.isascii()):
+        raise ValueError(f"not nonnegative decimal integers: {tokens!r}")
+    return list(map(int, tokens))
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an ``.elist`` document.  Errors name the offending line."""
     n = e = None
@@ -143,25 +156,23 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise ParseError(lineno, "malformed header, expected 'p <n> <e>'")
             try:
-                n, e = int(parts[1]), int(parts[2])
+                n, e = _parse_ints(parts[1:])
             except ValueError:
-                raise ParseError(lineno, "malformed header, expected integers") from None
+                raise ParseError(lineno, "malformed header, expected nonnegative integers") from None
             if n < 1:
                 raise ParseError(lineno, "vertex count must be positive")
-            if e < 0:
-                raise ParseError(lineno, "edge count must be nonnegative")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(lineno, "edge line before header")
             if len(parts) != 3:
                 raise ParseError(lineno, "malformed edge line, expected 'e <u> <v>'")
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = _parse_ints(parts[1:])
             except ValueError:
-                raise ParseError(lineno, "malformed edge line, expected integers") from None
+                raise ParseError(lineno, "malformed edge line, expected nonnegative integers") from None
             if u == v:
                 raise ParseError(lineno, f"loop edge at vertex {u}")
-            if u < 0 or v >= n or v < 0 or u >= n:
+            if u >= n or v >= n:
                 raise ParseError(lineno, f"vertex id out of range for n={n}")
             if u > v:
                 raise ParseError(lineno, "edge endpoints must satisfy u < v")

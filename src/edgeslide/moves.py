@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ._adj import Adj
-from .graph import Graph, GraphError, ParseError
+from .graph import Graph, GraphError, ParseError, _parse_ints
 
 __all__ = [
     "Slide",
@@ -34,7 +34,6 @@ __all__ = [
     "MoveScript",
     "MoveError",
     "apply_move",
-    "apply_script",
     "replay",
     "parse_script",
     "parse_script_lines",
@@ -171,19 +170,9 @@ def apply_move(g: Graph, m: Move) -> Graph:
     return adj.to_graph()
 
 
-def apply_script(g: Graph, script: Sequence[Move]) -> Graph:
-    """Left fold of apply_move; a rejected move reports its index."""
-    adj = Adj.from_graph(g)
-    for i, m in enumerate(script):
-        try:
-            apply_move_adj(adj, m)
-        except MoveError as err:
-            raise MoveError(str(err), index=i) from None
-    return adj.to_graph()
-
-
 def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
-    """Replay a script with per-move validation.
+    """Replay a script with per-move validation; a rejected move reports
+    its index.
 
     ``fast`` checks each move's precondition only.  ``full`` additionally
     asserts, after every move, that the state is a connected simple graph,
@@ -247,9 +236,9 @@ def parse_script_lines(text: str) -> tuple[MoveScript, tuple[int, ...]]:
         if len(parts) != arity + 1:
             raise ParseError(lineno, f"{parts[0]} takes {arity} integers")
         try:
-            args = [int(p) for p in parts[1:]]
+            args = _parse_ints(parts[1:])
         except ValueError:
-            raise ParseError(lineno, "move arguments must be integers") from None
+            raise ParseError(lineno, "move arguments must be nonnegative integers") from None
         moves.append(cls(*args))
         lines.append(lineno)
     return tuple(moves), tuple(lines)

@@ -1,17 +1,25 @@
 """Slide a connected graph into any prescribed configuration.
 
-The driver is :func:`transform`: given two connected simple graphs with
-equal vertex and edge counts and a vertex bijection ``psi``, it produces
-a script of slides carrying the first graph onto a graph that ``psi``
-maps isomorphically onto the second.
+Given two connected simple graphs with equal vertex and edge counts and
+a vertex bijection ``psi``, both engines here produce a script of slides
+carrying the first graph onto a graph that ``psi`` maps isomorphically
+onto the second, and verify it before returning.
 
-The construction peels off one vertex per level: pick a minimum-degree
-vertex of the goal, pump the matching source vertex up to full degree by
-co-evolving a spanning tree, prune it back down while keeping the rest
-connected, match its neighborhood by interchanges, repair connectivity
-of both complements, and recurse on the remainders.  Goal-side repair
-slides are inverted, pulled back through ``psi``, and appended after the
-recursive script.
+:func:`transform` relocates edges one at a time.  It pulls the goal back
+through ``psi`` to a target edge set T and moves each edge outside T,
+in sorted order, onto the nearest pair of T still missing, with the
+single-edge relocation of :mod:`edgeslide.slides`.  A legal pair always
+exists: when the edge is not a bridge any missing pair keeps the graph
+connected; when it is, the connected goal has a T-edge across the cut,
+and that edge is missing because the bridge was the only crossing edge.
+
+:func:`transform_peel` is the paper's level-peeling construction, kept
+as the reference: pick a minimum-degree vertex of the goal, pump the
+matching source vertex up to full degree by co-evolving a spanning
+tree, prune it back down while keeping the rest connected, match its
+neighborhood by interchanges, repair connectivity of both complements,
+and recurse on the remainders.  Goal-side repair slides are inverted,
+pulled back through ``psi``, and appended after the recursive script.
 """
 from __future__ import annotations
 
@@ -23,16 +31,18 @@ from .graph import (
     Graph,
     GraphError,
     check_bijection,
+    inverse_bijection,
     is_isomorphic_under,
     _check_vertex,
 )
-from .moves import MoveScript, Slide, apply_script
+from .moves import MoveScript, Slide, replay
 from .slides import _connected_after_move, _interchange, _move_edge
 
 __all__ = [
     "raise_degree_in_tree",
     "raise_degree",
     "transform",
+    "transform_peel",
     "TransformPlan",
     "LevelTrace",
 ]
@@ -129,7 +139,7 @@ def raise_degree(g: Graph, x: int) -> MoveScript:
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """Bookkeeping for one peeling level of :func:`transform`."""
+    """Bookkeeping for one peeling level of :func:`transform_peel`."""
 
     size: int
     target: int
@@ -140,7 +150,12 @@ class LevelTrace:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """A slide script plus the per-level trace that produced it."""
+    """A slide script plus the per-level trace that produced it.
+
+    ``trace`` holds one :class:`LevelTrace` per level of
+    :func:`transform_peel`; it is empty for :func:`transform`, which has
+    no levels.
+    """
 
     script: MoveScript
     trace: tuple[LevelTrace, ...]
@@ -302,14 +317,7 @@ def _transform_level(
     out.extend(appended)
 
 
-def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
-    """Slides carrying g onto a graph that psi maps isomorphically onto h.
-
-    Both graphs must be connected with equal vertex and edge counts.  The
-    returned plan's script contains only Slide moves; replaying it from g
-    and checking the result against h under psi always succeeds (the plan
-    is verified before it is returned).
-    """
+def _check_pair(g: Graph, h: Graph, psi: Sequence[int]):
     if g.n != h.n:
         raise GraphError(f"vertex count mismatch: {g.n} != {h.n}")
     if g.e != h.e:
@@ -319,11 +327,51 @@ def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
     gS = Adj.from_graph(h)
     if not gG.connected() or not gS.connected():
         raise GraphError("transform requires connected graphs")
+    return psi, gG, gS
+
+
+def _verified(g: Graph, h: Graph, psi, script: MoveScript, trace) -> TransformPlan:
+    if not is_isomorphic_under(replay(g, script), h, psi):
+        raise AssertionError("transform produced a non-verifying script")
+    return TransformPlan(script, tuple(trace))
+
+
+def transform_peel(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
+    """The paper's level-peeling construction; same contract as
+    :func:`transform`, and the plan's trace has one entry per level."""
+    psi, gG, gS = _check_pair(g, h, psi)
     out: list = []
     traces: list = []
     _transform_level(gG, gS, list(psi), list(range(g.n)), list(range(h.n)), out, traces)
-    script = tuple(out)
-    final = apply_script(g, script)
-    if not is_isomorphic_under(final, h, psi):
-        raise AssertionError("transform produced a non-verifying script")
-    return TransformPlan(script, tuple(traces))
+    return _verified(g, h, psi, tuple(out), traces)
+
+
+def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
+    """Slides carrying g onto a graph that psi maps isomorphically onto h.
+
+    Both graphs must be connected with equal vertex and edge counts.  The
+    returned plan's script contains only Slide moves; replaying it from g
+    and checking the result against h under psi always succeeds (the plan
+    is verified before it is returned).  Each edge of g outside the
+    pulled-back goal is relocated once, onto the missing goal pair
+    nearest to it, so the script is empty when g already matches h.
+    """
+    psi, adj, _ = _check_pair(g, h, psi)
+    inv = inverse_bijection(psi)
+    target = {(min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in h.edges}
+    missing = sorted(target.difference(g.edges))
+    out: list = []
+    # relocating uv onto a missing pair changes exactly those two edges,
+    # so the surplus edges can be fixed in one sorted pass
+    for u, v in sorted(set(g.edges) - target):
+        side = adj.distances([u], banned=(u, v))
+        bridge = side[v] < 0
+        dist = adj.distances([u, v])
+        _, x, y = min(
+            (min(dist[x], dist[y]), x, y)
+            for x, y in missing
+            if not bridge or (side[x] < 0) != (side[y] < 0)
+        )
+        _move_edge(adj, out, (u, v), (x, y))
+        missing.remove((x, y))
+    return _verified(g, h, psi, tuple(out), ())

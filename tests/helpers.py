@@ -78,20 +78,20 @@ def legal_relocations(g: Graph):
 
 
 def transform_sweep_chunk(args):
-    """Verify transform plans for a slice of the ordered-pair space of one
-    (n, e) universe.  Returns (plans verified, slide moves full-checked);
-    seeds depend only on (n, e, pair index), so the aggregate result is
-    independent of scheduling.
+    """Verify the plans of one transform engine for a slice of the
+    ordered-pair space of one (n, e) universe.  `args` is
+    (engine, n, e, lo, hi).  Returns (plans verified, slide moves
+    full-checked); seeds depend only on (n, e, pair index), so the
+    aggregate result is independent of scheduling.
     """
     from edgeslide import (
         enumerate_connected,
         identity_bijection,
         is_isomorphic_under,
         replay,
-        transform,
     )
 
-    n, e, lo, hi = args
+    engine, n, e, lo, hi = args
     graphs = enumerate_connected(n, e)
     count = len(graphs)
     verified = 0
@@ -103,7 +103,7 @@ def transform_sweep_chunk(args):
         psis = [identity_bijection(n)]
         psis += [tuple(rng.sample(range(n), n)) for _ in range(3)]
         for psi in psis:
-            plan = transform(ga, gb, psi)
+            plan = engine(ga, gb, psi)
             final = replay(ga, plan.script, check="full")
             assert is_isomorphic_under(final, gb, psi)
             verified += 1

@@ -15,7 +15,6 @@ from edgeslide import (
     is_isomorphic_under,
     minimal_energy_oracle,
     pendant_subdivide_equivalence,
-    apply_script,
     interchange,
     move_edge,
     reachability_census,
@@ -23,7 +22,9 @@ from edgeslide import (
     replay,
     serialize_graph,
     stats,
+    transform,
     transform_euler,
+    transform_peel,
 )
 from edgeslide.cli import run
 from helpers import (
@@ -47,23 +48,29 @@ def _report(label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_c1_exhaustive_slide_equivalence():
+    # the default engine and the paper's peeling reference, same scope each
+    engines = (transform, transform_peel)
     chunks = []
-    for n, e in SWEEP_SCOPE:
-        pairs = len(enumerate_connected(n, e)) ** 2
-        step = 4000
-        chunks.extend((n, e, lo, min(lo + step, pairs)) for lo in range(0, pairs, step))
+    for engine in engines:
+        for n, e in SWEEP_SCOPE:
+            pairs = len(enumerate_connected(n, e)) ** 2
+            step = 4000
+            chunks.extend((engine, n, e, lo, min(lo + step, pairs)) for lo in range(0, pairs, step))
     workers = min(os.cpu_count() or 1, 8)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(transform_sweep_chunk, chunks))
-    verified = sum(r[0] for r in results)
-    moves = sum(r[1] for r in results)
-    FULL_CHECKED_MOVES["count"] += moves
+    verified = {engine: 0 for engine in engines}
+    for chunk, (plans, moves) in zip(chunks, results):
+        verified[chunk[0]] += plans
+        FULL_CHECKED_MOVES["count"] += moves
     single_class = all(reachability_census(n, e).classes == 1 for n, e in SWEEP_SCOPE)
     expected = sum(len(enumerate_connected(n, e)) ** 2 for n, e in SWEEP_SCOPE) * 4
     _report(
-        "C1 exhaustive slide-equivalence (n<=4 all e; n=5 e in {4,5,6}; 4 bijections each)",
-        verified == expected and single_class,
-        f"{verified} plans verified, census single-class",
+        "C1 exhaustive slide-equivalence (n<=4 all e; n=5 e in {4,5,6}; 4 bijections each; "
+        "transform and transform_peel)",
+        all(v == expected for v in verified.values()) and single_class,
+        ", ".join(f"{engine.__name__}: {v} plans verified" for engine, v in verified.items())
+        + ", census single-class",
     )
 
 
@@ -161,7 +168,7 @@ def test_c8_pendant_subdivide_equivalence():
             for g in enumerate_connected(n, e):
                 for edge in g.edges:
                     a, b = pendant_subdivide_equivalence(g, edge)
-                    ok = ok and apply_script(g, a) == apply_script(g, b)
+                    ok = ok and replay(g, a) == replay(g, b)
                     cases += 1
     _report("C8 pendant/subdivide scripts agree on every edge, n<=6", ok, f"{cases} edges")
 

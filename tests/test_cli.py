@@ -140,3 +140,43 @@ def test_byte_identical_reruns(files):
     assert run(["transform", a, b, "-o", o1]) == 0
     assert run(["transform", a, b, "-o", o2]) == 0
     assert open(o1, "rb").read() == open(o2, "rb").read()
+
+
+def _assert_input_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_ascii_byte_exits_two(tmp_path, capsys):
+    p = tmp_path / "a.elist"
+    p.write_bytes(b"# caf\xc3\xa9\np 2 1\ne 0 1\n")
+    _assert_input_error(run(["stats", str(p)]), capsys)
+
+
+@pytest.mark.parametrize("kind", ["elist", "moves", "bijection"])
+def test_underscore_integer_exits_two(files, capsys, kind):
+    tmp, write = files
+    a = write("a.elist", path_graph(11))
+    b = write("b.elist", path_graph(11))
+    bad = tmp / "bad.txt"
+    if kind == "elist":
+        bad.write_text("p 11 1\ne 0 1_0\n", encoding="ascii")
+        argv = ["stats", str(bad)]
+    elif kind == "moves":
+        bad.write_text("S 0 1 1_0\n", encoding="ascii")
+        argv = ["verify", a, str(bad)]
+    else:
+        lines = [f"m {i} {10 - i}" for i in range(10)] + ["m 1_0 0"]
+        bad.write_text("\n".join(lines) + "\n", encoding="ascii")
+        argv = ["transform", a, b, "--bijection", str(bad)]
+    _assert_input_error(run(argv), capsys)
+
+
+def test_bijection_source_out_of_range_exits_two(files, capsys):
+    tmp, write = files
+    a = write("a.elist", path_graph(3))
+    m = tmp / "m.txt"
+    m.write_text("m 0 2\nm 1 1\nm 2 0\nm 9 9\n", encoding="ascii")
+    _assert_input_error(run(["transform", a, a, "--bijection", str(m)]), capsys)

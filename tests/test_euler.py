@@ -8,7 +8,6 @@ from edgeslide import (
     GraphError,
     Slide,
     Subdivide,
-    apply_script,
     collapse_to_order,
     complete_graph,
     cycle_graph,
@@ -53,14 +52,14 @@ def test_pendant_subdivide_p2():
     a, b = pendant_subdivide_equivalence(g, (0, 1))
     assert a == (Subdivide(1, 0, 2),)
     assert b == (AddPendant(1, 2), Slide(0, 1, 2))
-    ga, gb = apply_script(g, a), apply_script(g, b)
+    ga, gb = replay(g, a), replay(g, b)
     assert ga == gb and ga.edges == ((0, 2), (1, 2))
 
 
 def test_pendant_subdivide_c3():
     g = cycle_graph(3)
     a, b = pendant_subdivide_equivalence(g, (0, 1))
-    assert apply_script(g, a) == apply_script(g, b)
+    assert replay(g, a) == replay(g, b)
 
 
 def test_pendant_subdivide_missing_edge():
@@ -74,7 +73,7 @@ def test_pendant_subdivide_exhaustive_n5():
             for g in enumerate_connected(n, e):
                 for edge in g.edges:
                     a, b = pendant_subdivide_equivalence(g, edge)
-                    assert apply_script(g, a) == apply_script(g, b)
+                    assert replay(g, a) == replay(g, b)
 
 
 def test_collapse_noop():
@@ -137,6 +136,6 @@ def test_every_prefix_preserves_chi():
     script, psi = transform_euler(g, h)
     cur = g
     for m in script:
-        cur = apply_script(cur, (m,))
+        cur = replay(cur, (m,))
         assert stats(cur).euler_characteristic == -2
     assert is_isomorphic_under(cur, h, psi)

@@ -13,7 +13,6 @@ from edgeslide import (
     Smooth,
     Subdivide,
     apply_move,
-    apply_script,
     complete_graph,
     cycle_graph,
     parse_script,
@@ -79,18 +78,18 @@ def test_smooth_rejects_adjacent_ends():
 
 def test_empty_script_is_identity():
     g = cycle_graph(5)
-    assert apply_script(g, ()) == g
+    assert replay(g, ()) == g
 
 
 def test_slide_then_inverse_restores():
     g = path_graph(3)
-    assert apply_script(g, (Slide(0, 1, 2), Slide(0, 2, 1))) == g
+    assert replay(g, (Slide(0, 1, 2), Slide(0, 2, 1))) == g
 
 
 def test_script_error_reports_index():
     g = path_graph(4)
     with pytest.raises(MoveError) as exc:
-        apply_script(g, (Slide(0, 1, 2), Slide(0, 1, 2), Slide(0, 2, 3)))
+        replay(g, (Slide(0, 1, 2), Slide(0, 1, 2), Slide(0, 2, 3)))
     assert exc.value.index == 1
 
 

@@ -1,12 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
 
 from edgeslide import (
     Graph,
     GraphError,
     Slide,
-    apply_script,
     complete_graph,
     cycle_graph,
     enumerate_connected,
@@ -19,6 +19,7 @@ from edgeslide import (
     replay,
     star_graph,
     transform,
+    transform_peel,
 )
 from helpers import random_connected_graph
 
@@ -33,7 +34,7 @@ def test_tree_raise_star_already_done():
 def test_tree_raise_p4():
     t = path_graph(4)
     script = raise_degree_in_tree(t, 0)
-    assert apply_script(t, script) == star_graph(4)
+    assert replay(t, script) == star_graph(4)
 
 
 def test_tree_raise_intermediates_stay_trees():
@@ -44,7 +45,7 @@ def test_tree_raise_intermediates_stay_trees():
         x = rng.randrange(n)
         cur = t
         for m in raise_degree_in_tree(t, x):
-            cur = apply_script(cur, (m,))
+            cur = replay(cur, (m,))
             assert cur.e == n - 1 and is_connected(cur)
         assert cur.degree(x) == n - 1
 
@@ -97,7 +98,7 @@ def test_transform_p4_to_star_exact():
     g = path_graph(4)
     h = star_graph(4)
     plan = transform(g, h, identity_bijection(4))
-    assert apply_script(g, plan.script) == h
+    assert replay(g, plan.script) == h
 
 
 def test_transform_emits_slides_only():
@@ -110,7 +111,7 @@ def test_transform_emits_slides_only():
 def test_transform_trace_depth():
     g = random_connected_graph(6, 9, random.Random(4))
     h = random_connected_graph(6, 9, random.Random(5))
-    plan = transform(g, h, identity_bijection(6))
+    plan = transform_peel(g, h, identity_bijection(6))
     assert [t.size for t in plan.trace] == [6, 5, 4, 3, 2]
 
 
@@ -150,9 +151,42 @@ def test_transform_appended_inverse_restores_goal_repairs():
         g = random_connected_graph(n, e, rng)
         h = random_connected_graph(n, e, rng)
         psi = tuple(rng.sample(range(n), n))
-        plan = transform(g, h, psi)
+        plan = transform_peel(g, h, psi)
         for level in plan.trace:
             assert len(level.goal_repair) == len(level.appended_inverse)
         if any(level.goal_repair for level in plan.trace):
             break
-    assert is_isomorphic_under(apply_script(g, plan.script), h, psi)
+    assert is_isomorphic_under(replay(g, plan.script), h, psi)
+
+
+def test_transform_onto_own_image_is_empty():
+    rng = random.Random(80)
+    p3 = path_graph(3)
+    assert transform(p3, p3, identity_bijection(3)).script == ()
+    for n, e in ((3, 2), (12, 30), (80, 160)):
+        g = random_connected_graph(n, e, rng)
+        psi = tuple(rng.sample(range(n), n))
+        image = Graph(n, [(psi[u], psi[v]) for u, v in g.edges])
+        plan = transform(g, image, psi)
+        assert plan.script == () and plan.trace == ()
+
+
+def _nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def test_transform_differential_random_pairs():
+    rng = random.Random(4040)
+    for _ in range(40):
+        n = rng.randint(7, 40)
+        e = rng.randint(n - 1, min(4 * n, n * (n - 1) // 2))
+        g = random_connected_graph(n, e, rng)
+        h = random_connected_graph(n, e, rng)
+        psi = tuple(rng.sample(range(n), n))
+        plan = transform(g, h, psi)
+        final = replay(g, plan.script, check="full")
+        assert is_isomorphic_under(final, h, psi)
+        assert nx.is_isomorphic(_nx(final), _nx(h))

@@ -6,7 +6,6 @@ from edgeslide import (
     Graph,
     GraphError,
     Slide,
-    apply_script,
     complete_graph,
     cycle_graph,
     enumerate_connected,
@@ -39,7 +38,7 @@ def test_slide_along_path_two_steps():
     g = Graph(4, [(0, 1), (1, 2), (0, 3)])
     script = slide_along_path(g, 3, (0, 1, 2))
     assert script == (Slide(3, 0, 1), Slide(3, 1, 2))
-    assert apply_script(g, script).adjacent(3, 2)
+    assert replay(g, script).adjacent(3, 2)
 
 
 def test_slide_along_singleton_path():
@@ -73,7 +72,7 @@ def test_shuffle_cascade_two_tokens():
     g = Graph(4, [(0, 1), (1, 2), (0, 3), (1, 3)])
     script = shuffle(g, 3, (0, 1, 2), 0, 2)
     assert script == (Slide(3, 1, 2), Slide(3, 0, 1))
-    final = apply_script(g, script)
+    final = replay(g, script)
     assert final.neighbors(3) == (1, 2)
 
 
@@ -86,7 +85,7 @@ def test_shuffle_rejects_occupied_target():
 def test_shuffle_reverse_direction():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     script = shuffle(g, 3, (0, 1, 2), 2, 0)
-    final = apply_script(g, script)
+    final = replay(g, script)
     assert final.adjacent(3, 0) and not final.adjacent(3, 2)
 
 
@@ -106,7 +105,7 @@ def test_shuffle_locality_exhaustive_small():
                         if y in onp or not g.adjacent(y, p[0]) or g.adjacent(y, p[-1]):
                             continue
                         script = shuffle(g, y, p, 0, len(p) - 1)
-                        final = apply_script(g, script)
+                        final = replay(g, script)
                         want_nbrs = set(g.neighbors(y)) - {p[0]} | {p[-1]}
                         assert set(final.neighbors(y)) == want_nbrs
                         others = {e for e in g.edges if y not in e}
@@ -206,12 +205,12 @@ def test_interchange_p3_single_slide():
     g = path_graph(3)
     script = interchange(g, 0, 1)
     assert script == (Slide(2, 1, 0),)
-    assert apply_script(g, script).edges == ((0, 1), (0, 2))
+    assert replay(g, script).edges == ((0, 1), (0, 2))
 
 
 def test_interchange_p4_distance_three():
     g = path_graph(4)
-    final = apply_script(g, interchange(g, 0, 3))
+    final = replay(g, interchange(g, 0, 3))
     assert final.edges == ((0, 2), (1, 2), (1, 3))
 
 
@@ -236,6 +235,6 @@ def test_interchange_graph_level_involution():
         n = rng.randint(2, 8)
         g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), rng)
         a, b = rng.sample(range(n), 2)
-        once = apply_script(g, interchange(g, a, b))
-        twice = apply_script(once, interchange(once, a, b))
+        once = replay(g, interchange(g, a, b))
+        twice = replay(once, interchange(once, a, b))
         assert twice == g
