@@ -107,6 +107,25 @@ class Adj:
                 queue.append(v)
         return None
 
+    def bfs_tree(self, root: int) -> "Adj | None":
+        """BFS spanning tree from root, or None when the graph is not
+        connected."""
+        tree: list[set[int]] = [set() for _ in range(self.n)]
+        seen = [False] * self.n
+        seen[root] = True
+        count = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in sorted(self.nbrs[u]):
+                if not seen[v]:
+                    seen[v] = True
+                    count += 1
+                    tree[u].add(v)
+                    tree[v].add(u)
+                    queue.append(v)
+        return Adj(self.n, tree) if count == self.n else None
+
     def distances(self, sources, banned: tuple[int, int] | None = None) -> list[int]:
         """Hop count from the nearest source, -1 where unreachable without
         crossing the banned edge."""

@@ -131,15 +131,20 @@ def _cmd_euler_transform(args) -> int:
     return 0
 
 
+def _rejected(what: str, path: str, lines, err: MoveError) -> int:
+    """Report a replay failure with the script line that holds the move."""
+    line = lines[err.index] if err.index is not None and err.index < len(lines) else "?"
+    print(f"{what} at {path} line {line}: {err}", file=sys.stderr)
+    return 1
+
+
 def _cmd_verify(args) -> int:
     g = _load_graph(args.source)
     script, lines = parse_script_lines(_read(args.script))
     try:
         final = replay(g, script, check="full")
     except MoveError as err:
-        line = lines[err.index] if err.index is not None and err.index < len(lines) else "?"
-        print(f"verification failed at {args.script} line {line}: {err}", file=sys.stderr)
-        return 1
+        return _rejected("verification failed", args.script, lines, err)
     if args.expect is not None:
         goal = _load_graph(args.expect)
         psi = _load_bijection(args.bijection, final.n)
@@ -156,9 +161,7 @@ def _cmd_replay(args) -> int:
     try:
         final = replay(g, script, check=args.check)
     except MoveError as err:
-        line = lines[err.index] if err.index is not None and err.index < len(lines) else "?"
-        print(f"replay rejected at {args.script} line {line}: {err}", file=sys.stderr)
-        return 1
+        return _rejected("replay rejected", args.script, lines, err)
     _emit(serialize_graph(final), args.output)
     return 0
 

@@ -6,14 +6,20 @@ preserve the Euler characteristic chi = n - e and connectivity, and the
 two growth moves are interchangeable up to slides.  Combined with the
 equal-size transformation this turns any connected simple graph into any
 other with the same chi.
+
+Growing hangs pendants on vertex 0 and then slides into position.
+Shrinking is the mirror image: slide onto the smaller graph with pendants
+on vertex 0 at the top ids, then remove those leaves top id first, so no
+vertex is renumbered.
 """
 from __future__ import annotations
+
+from itertools import combinations, islice
 
 from ._adj import Adj
 from .graph import Graph, GraphError, identity_bijection
 from .moves import AddPendant, MoveScript, RemoveLeaf, Slide, Subdivide, replay
 from .prescribe import transform
-from .slides import _connected_after_move, _move_edge
 
 __all__ = [
     "expand_to_order",
@@ -46,7 +52,12 @@ def pendant_subdivide_equivalence(
 
 def collapse_to_order(g: Graph, target_n: int) -> MoveScript:
     """Slide/RemoveLeaf script shrinking g to target_n vertices with the
-    same chi; fails upfront if some intermediate order cannot stay simple."""
+    same chi; fails upfront if some intermediate order cannot stay simple.
+
+    The result has the first target_n - chi pairs of 0..target_n-1 in
+    lexicographic order as edges (the star at 0 comes first, so it is
+    connected); leaves are removed from the top id down, so no vertex is
+    renumbered."""
     if not (1 <= target_n <= g.n):
         raise GraphError(f"target order {target_n} out of range for n={g.n}")
     adj = Adj.from_graph(g)
@@ -61,54 +72,34 @@ def collapse_to_order(g: Graph, target_n: int) -> MoveScript:
                 f"{m - 1} vertices holds at most {(m - 1) * (m - 2) // 2} edges, "
                 f"needs {edges_at_m - 1}"
             )
-    out: list = []
-    while adj.n > target_n:
-        victim = 0
-        while adj.degree(victim) > 1:
-            comps = adj.components(skip=victim)
-            if len(comps) >= 2:
-                first = set(comps[0])
-                w = min(v for v in adj.nbrs[victim] if v in first)
-                pair = (comps[0][0], comps[1][0])
-            else:
-                comp = comps[0]
-                pair = None
-                for ii in range(len(comp)):
-                    for jj in range(ii + 1, len(comp)):
-                        if not adj.has(comp[ii], comp[jj]):
-                            pair = (comp[ii], comp[jj])
-                            break
-                    if pair is not None:
-                        break
-                assert pair is not None, "edge-count bound guarantees a free pair"
-                w = None
-                for cand in sorted(adj.nbrs[victim]):
-                    if _connected_after_move(adj, (victim, cand), pair):
-                        w = cand
-                        break
-                assert w is not None
-            _move_edge(adj, out, (victim, w), pair)
-        anchor = next(iter(adj.nbrs[victim]))
-        out.append(RemoveLeaf(victim, anchor))
-        adj.remove_vertex(victim)
-    return tuple(out)
+    if target_n == g.n:
+        return ()
+    core = Graph(target_n, islice(combinations(range(target_n), 2), target_n - chi))
+    return _collapse_onto(g, core)
+
+
+def _collapse_onto(g: Graph, core: Graph) -> MoveScript:
+    """Slides carrying g onto core plus leaves core.n..g.n-1 hung on vertex
+    0, then the removals of those leaves from the top id down."""
+    big = replay(core, expand_to_order(core, g.n))
+    plan = transform(g, big, identity_bijection(g.n))
+    return plan.script + tuple(RemoveLeaf(m, 0) for m in range(g.n - 1, core.n - 1, -1))
 
 
 def transform_euler(g: Graph, h: Graph) -> tuple[MoveScript, tuple[int, ...]]:
     """Script carrying g onto a graph isomorphic to h, given equal chi.
 
-    Grows or shrinks g to h's order first, then slides into position.
-    Returns the script and the vertex bijection (identity on 0..h.n-1)
-    under which the replayed result matches h.
+    Grows g to h's order by pendants on vertex 0 and then slides into
+    position, or slides g onto h plus leaves of 0 at the top ids and then
+    removes them.  Returns the script and the vertex bijection (identity
+    on 0..h.n-1) under which the replayed result matches h.
     """
     chi_g = g.n - g.e
     chi_h = h.n - h.e
     if chi_g != chi_h:
         raise GraphError(f"Euler characteristic mismatch: {chi_g} != {chi_h}")
-    if g.n <= h.n:
-        prefix = expand_to_order(g, h.n)
-    else:
-        prefix = collapse_to_order(g, h.n)
-    mid = replay(g, prefix)
-    plan = transform(mid, h, identity_bijection(h.n))
+    if g.n > h.n:
+        return _collapse_onto(g, h), identity_bijection(h.n)
+    prefix = expand_to_order(g, h.n)
+    plan = transform(replay(g, prefix), h, identity_bijection(h.n))
     return prefix + plan.script, identity_bijection(h.n)

@@ -14,7 +14,6 @@ Canonical serialization sorts the edge lines lexicographically, so
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -229,20 +228,10 @@ def connected_components(g: Graph, excluded: int | None = None) -> tuple[tuple[i
 def spanning_tree(g: Graph, root: int = 0) -> tuple[tuple[int, int], ...]:
     """Edges of the BFS spanning tree from `root`, neighbors in ascending order."""
     _check_vertex(g, root)
-    parent = [-2] * g.n
-    parent[root] = -1
-    queue = deque([root])
-    tree: list[tuple[int, int]] = []
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if parent[v] == -2:
-                parent[v] = u
-                tree.append((min(u, v), max(u, v)))
-                queue.append(v)
-    if len(tree) != g.n - 1:
+    tree = Adj.from_graph(g).bfs_tree(root)
+    if tree is None:
         raise GraphError("spanning_tree requires a connected graph")
-    return tuple(sorted(tree))
+    return tuple(tree.sorted_edges())
 
 
 @dataclass(frozen=True)

@@ -84,32 +84,12 @@ def raise_degree_in_tree(t: Graph, x: int) -> MoveScript:
     return tuple(out)
 
 
-def _bfs_tree_adj(adj: Adj, root: int) -> Adj:
-    from collections import deque
-
-    nbrs: list[set[int]] = [set() for _ in range(adj.n)]
-    seen = [False] * adj.n
-    seen[root] = True
-    count = 1
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adj.nbrs[u]):
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-                queue.append(v)
-    if count != adj.n:
-        raise GraphError("graph must be connected")
-    return Adj(adj.n, nbrs)
-
-
 def _raise_degree_engine(adj: Adj, x: int, out: list) -> None:
     """Pump d(x) to n - 1 by evolving a BFS spanning tree rooted at x and
     mirroring each tree slide in the graph unless it would double an edge."""
-    tree = _bfs_tree_adj(adj, x)
+    tree = adj.bfs_tree(x)
+    if tree is None:
+        raise GraphError("graph must be connected")
 
     def mirror(pivot: int, frm: int, to: int) -> None:
         if not adj.has(pivot, to):

@@ -97,6 +97,14 @@ def _move_edge(adj: Adj, out: list, uv: tuple[int, int], xy: tuple[int, int]) ->
         raise GraphError(f"target pair ({x}, {y}) must be non-adjacent")
     if not _connected_after_move(adj, (u, v), (x, y)):
         raise GraphError(f"moving ({u}, {v}) to ({x}, {y}) would disconnect the graph")
+    _relocate(adj, out, (u, v), (x, y))
+
+
+def _relocate(adj: Adj, out: list, uv: tuple[int, int], xy: tuple[int, int]) -> None:
+    # Unchecked body of _move_edge: the move must be legal.  The two
+    # sub-moves of the split are, by the _relabel orientation.
+    u, v = uv
+    x, y = xy
     if y in (u, v) and x not in (u, v):
         x, y = y, x
     if x in (u, v):
@@ -104,11 +112,11 @@ def _move_edge(adj: Adj, out: list, uv: tuple[int, int], xy: tuple[int, int]) ->
         return
     u, v = _relabel(adj, (u, v), x)
     if adj.has(x, v):
-        _move_edge(adj, out, (x, v), (x, y))
-        _move_edge(adj, out, (u, v), (x, v))
+        _relocate(adj, out, (x, v), (x, y))
+        _relocate(adj, out, (u, v), (x, v))
     else:
-        _move_edge(adj, out, (u, v), (x, v))
-        _move_edge(adj, out, (x, v), (x, y))
+        _relocate(adj, out, (u, v), (x, v))
+        _relocate(adj, out, (x, v), (x, y))
 
 
 def _move_shared(adj: Adj, out: list, uv: tuple[int, int], x: int, y: int) -> None:

@@ -23,6 +23,16 @@ def random_connected_graph(n: int, e: int, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def nx_graph(g: Graph):
+    """The same graph as a networkx.Graph, for independent cross-checks."""
+    import networkx as nx
+
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
 def all_simple_paths(g: Graph, a: int, b: int, forbidden=None):
     """Exhaustive DFS over simple paths from a to b (slow oracle)."""
     ban = None

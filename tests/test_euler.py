@@ -1,11 +1,13 @@
 import random
 
+import networkx as nx
 import pytest
 
 from edgeslide import (
     AddPendant,
     Graph,
     GraphError,
+    RemoveLeaf,
     Slide,
     Subdivide,
     collapse_to_order,
@@ -13,6 +15,7 @@ from edgeslide import (
     cycle_graph,
     enumerate_connected,
     expand_to_order,
+    identity_bijection,
     is_isomorphic_under,
     path_graph,
     pendant_subdivide_equivalence,
@@ -20,7 +23,7 @@ from edgeslide import (
     stats,
     transform_euler,
 )
-from helpers import random_connected_graph
+from helpers import nx_graph, random_connected_graph
 
 
 def test_expand_noop():
@@ -86,6 +89,10 @@ def test_collapse_p3_single_leaf_removal():
     final = replay(g, script, check="full")
     assert final == path_graph(2)
     assert sum(1 for m in script if not isinstance(m, Slide)) == 1
+    tree = random_connected_graph(12, 11, random.Random(16))
+    script = collapse_to_order(tree, 1)
+    assert replay(tree, script, check="full") == Graph(1)
+    assert sum(1 for m in script if not isinstance(m, Slide)) == 11
 
 
 def test_collapse_c6_to_k3():
@@ -122,6 +129,34 @@ def test_transform_euler_trees():
     assert is_isomorphic_under(replay(g, script, check="full"), h, psi)
     back, psi2 = transform_euler(h, g)
     assert is_isomorphic_under(replay(h, back, check="full"), g, psi2)
+
+
+def test_transform_euler_strips_top_pendants_without_slides():
+    h = random_connected_graph(10, 14, random.Random(17))
+    g = replay(h, expand_to_order(h, 16))
+    script, psi = transform_euler(g, h)
+    assert script == tuple(RemoveLeaf(m, 0) for m in range(15, 9, -1))
+    assert replay(g, script, check="full") == h and psi == identity_bijection(10)
+
+
+def test_transform_euler_differential_random_pairs():
+    rng = random.Random(8100)
+    for _ in range(12):
+        n1 = rng.randint(10, 60)
+        n2 = rng.randint(10, 60)
+        chi = rng.randint(-min(n1, n2), 1)
+        small = random_connected_graph(n1, n1 - chi, rng)
+        big = random_connected_graph(n2, n2 - chi, rng)
+        for src, dst in ((small, big), (big, small)):
+            script, psi = transform_euler(src, dst)
+            final = replay(src, script, check="full")
+            assert is_isomorphic_under(final, dst, psi)
+            assert nx.is_isomorphic(nx_graph(final), nx_graph(dst))
+    g = random_connected_graph(120, 160, rng)
+    h = random_connected_graph(50, 90, rng)
+    script, psi = transform_euler(g, h)
+    assert is_isomorphic_under(replay(g, script, check="full"), h, psi)
+    assert len(script) <= 2000
 
 
 def test_transform_euler_rejects_chi_mismatch():

@@ -21,7 +21,7 @@ from edgeslide import (
     transform,
     transform_peel,
 )
-from helpers import random_connected_graph
+from helpers import nx_graph, random_connected_graph
 
 
 # --- raise_degree_in_tree ------------------------------------------------------
@@ -171,13 +171,6 @@ def test_transform_onto_own_image_is_empty():
         assert plan.script == () and plan.trace == ()
 
 
-def _nx(g):
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges)
-    return out
-
-
 def test_transform_differential_random_pairs():
     rng = random.Random(4040)
     for _ in range(40):
@@ -189,4 +182,4 @@ def test_transform_differential_random_pairs():
         plan = transform(g, h, psi)
         final = replay(g, plan.script, check="full")
         assert is_isomorphic_under(final, h, psi)
-        assert nx.is_isomorphic(_nx(final), _nx(h))
+        assert nx.is_isomorphic(nx_graph(final), nx_graph(h))
