@@ -19,9 +19,6 @@ class Adj:
     def from_graph(cls, g) -> "Adj":
         return cls(g.n, [set(s) for s in g.neighbor_sets()])
 
-    def copy(self) -> "Adj":
-        return Adj(self.n, [set(s) for s in self.nbrs])
-
     def has(self, u: int, v: int) -> bool:
         return v in self.nbrs[u]
 
@@ -30,9 +27,6 @@ class Adj:
 
     def degrees(self) -> list[int]:
         return [len(s) for s in self.nbrs]
-
-    def edge_count(self) -> int:
-        return sum(len(s) for s in self.nbrs) // 2
 
     def add(self, u: int, v: int) -> None:
         self.nbrs[u].add(v)
@@ -166,22 +160,18 @@ class Adj:
             out.append(comp)
         return out
 
-    def connected(self, skip: int | None = None) -> bool:
-        total = self.n if skip is None else self.n - 1
-        if total <= 0:
+    def connected(self) -> bool:
+        if self.n <= 1:
             return True
-        seed = 0
-        while seed == skip:
-            seed += 1
         seen = [False] * self.n
-        seen[seed] = True
+        seen[0] = True
         count = 1
-        stack = [seed]
+        stack = [0]
         while stack:
             u = stack.pop()
             for v in self.nbrs[u]:
-                if not seen[v] and v != skip:
+                if not seen[v]:
                     seen[v] = True
                     count += 1
                     stack.append(v)
-        return count == total
+        return count == self.n

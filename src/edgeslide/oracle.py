@@ -99,19 +99,11 @@ def reachability_census(n: int, e: int, cap: int = 5) -> CensusReport:
     count = len(universe)
     classes = 0
     diameter = 0
-    assigned = [-1] * count
+    labelled = [False] * count
     for start in range(count):
-        if assigned[start] == -1:
-            stack = [start]
-            assigned[start] = classes
-            while stack:
-                u = stack.pop()
-                for v in neighbor_ids[u]:
-                    if assigned[v] == -1:
-                        assigned[v] = classes
-                        stack.append(v)
+        # a start no earlier BFS reached opens a class; its BFS labels it
+        if not labelled[start]:
             classes += 1
-    for start in range(count):
         dist = {start: 0}
         queue = deque([start])
         far = 0
@@ -121,6 +113,7 @@ def reachability_census(n: int, e: int, cap: int = 5) -> CensusReport:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     far = max(far, dist[v])
+                    labelled[v] = True
                     queue.append(v)
         diameter = max(diameter, far)
     return CensusReport(n, e, count, classes, diameter)

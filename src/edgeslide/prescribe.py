@@ -18,8 +18,9 @@ as the reference: pick a minimum-degree vertex of the goal, pump the
 matching source vertex up to full degree by co-evolving a spanning
 tree, prune it back down while keeping the rest connected, match its
 neighborhood by interchanges, repair connectivity of both complements,
-and recurse on the remainders.  Goal-side repair slides are inverted,
-pulled back through ``psi``, and appended after the recursive script.
+and repeat on the remainders.  Goal-side repair slides are inverted,
+pulled back through ``psi``, and appended after the slides of every
+level, the last level's first.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .graph import (
     _check_vertex,
 )
 from .moves import MoveScript, Slide, replay
-from .slides import _connected_after_move, _interchange, _move_edge
+from .slides import _connected_after_move, _interchange, _relocate
 
 __all__ = [
     "raise_degree_in_tree",
@@ -147,6 +148,8 @@ def _reduce_degree(adj: Adj, x_star: int, d1: int, out: list) -> None:
         if len(comps) >= 2:
             first = set(comps[0])
             w = min(v for v in adj.nbrs[x_star] if v in first)
+            # legal: comps[0] stays attached to x* through the new edge to
+            # comps[1], and comps[1] has its own edge to x*
             pair = (comps[0][0], comps[1][0])
         else:
             comp = comps[0]
@@ -164,12 +167,13 @@ def _reduce_degree(adj: Adj, x_star: int, d1: int, out: list) -> None:
                     "needed; impossible for equal edge counts"
                 )
             w = None
+            # legal: the first candidate that passes this check is moved
             for cand in sorted(adj.nbrs[x_star]):
                 if _connected_after_move(adj, (x_star, cand), pair):
                     w = cand
                     break
             assert w is not None
-        _move_edge(adj, out, (x_star, w), pair)
+        _relocate(adj, out, (x_star, w), pair)
 
 
 def _first_back_edge(adj: Adj, comp: list[int], cset: set[int]) -> tuple[int, int]:
@@ -207,7 +211,9 @@ def _repair_components(adj: Adj, skip: int, out: list) -> None:
                 edge = _first_back_edge(adj, comp, cset)
                 other = comps[1] if ci == 0 else comps[0]
                 pair = (min(comp[0], other[0]), max(comp[0], other[0]))
-                _move_edge(adj, out, edge, pair)
+                # legal: the edge lies on a cycle, and the pair joins two
+                # components, so its ends are non-adjacent
+                _relocate(adj, out, edge, pair)
                 moved = True
                 break
         if not moved:
@@ -217,84 +223,67 @@ def _repair_components(adj: Adj, skip: int, out: list) -> None:
             )
 
 
-def _induced(adj: Adj, skip: int) -> Adj:
-    nbrs = []
-    for v in range(adj.n):
-        if v == skip:
-            continue
-        nbrs.append({w if w < skip else w - 1 for w in adj.nbrs[v] if w != skip})
-    return Adj(adj.n - 1, nbrs)
+def _peel(gG: Adj, gS: Adj, psi: list[int]) -> tuple[MoveScript, list[LevelTrace]]:
+    """Run the levels of :func:`transform_peel`, shrinking gG and gS in
+    place by one vertex per level."""
+    gmap = list(range(gG.n))
+    smap = list(range(gS.n))
+    out: list = []
+    traces: list = []
+    suffixes: list = []
+    while gG.n > 1:
+        n = gG.n
+        psi_inv = [0] * n
+        for i, t in enumerate(psi):
+            psi_inv[t] = i
+        y_star = min(range(n), key=lambda v: (gS.degree(v), v))
+        d1 = gS.degree(y_star)
+        x_star = psi_inv[y_star]
+        if n == 2:
+            traces.append(LevelTrace(2, smap[y_star], gmap[x_star], (), ()))
+            break
 
+        local: list = []
+        _raise_degree_engine(gG, x_star, local)
+        _reduce_degree(gG, x_star, d1, local)
+        wanted = {psi_inv[t] for t in gS.nbrs[y_star]}
+        while gG.nbrs[x_star] != wanted:
+            a = min(gG.nbrs[x_star] - wanted)
+            b = min(wanted - gG.nbrs[x_star])
+            _interchange(gG, local, a, b)
+        assert gG.degree(x_star) == d1 and gG.nbrs[x_star] == wanted
 
-def _transform_level(
-    gG: Adj,
-    gS: Adj,
-    psi: list[int],
-    gmap: list[int],
-    smap: list[int],
-    out: list,
-    traces: list,
-) -> None:
-    n = gG.n
-    if n <= 1:
-        return
-    psi_inv = [0] * n
-    for i, t in enumerate(psi):
-        psi_inv[t] = i
-    y_star = min(range(n), key=lambda v: (gS.degree(v), v))
-    d1 = gS.degree(y_star)
-    x_star = psi_inv[y_star]
-    if n == 2:
-        traces.append(LevelTrace(2, smap[y_star], gmap[x_star], (), ()))
-        return
+        _repair_components(gG, x_star, local)
+        goal_repair: list = []
+        _repair_components(gS, y_star, goal_repair)
+        assert len(gG.components(skip=x_star)) == 1
+        assert len(gS.components(skip=y_star)) == 1
 
-    local: list = []
-    _raise_degree_engine(gG, x_star, local)
-    _reduce_degree(gG, x_star, d1, local)
-    wanted = {psi_inv[t] for t in gS.nbrs[y_star]}
-    while gG.nbrs[x_star] != wanted:
-        a = min(gG.nbrs[x_star] - wanted)
-        b = min(wanted - gG.nbrs[x_star])
-        _interchange(gG, local, a, b)
-    assert gG.degree(x_star) == d1 and gG.nbrs[x_star] == wanted
-
-    _repair_components(gG, x_star, local)
-    goal_repair: list = []
-    _repair_components(gS, y_star, goal_repair)
-    assert len(gG.components(skip=x_star)) == 1
-    assert len(gS.components(skip=y_star)) == 1
-
-    out.extend(Slide(gmap[m.x], gmap[m.y], gmap[m.z]) for m in local)
-    appended = tuple(
-        Slide(gmap[psi_inv[m.x]], gmap[psi_inv[m.z]], gmap[psi_inv[m.y]])
-        for m in reversed(goal_repair)
-    )
-    traces.append(
-        LevelTrace(
-            n,
-            smap[y_star],
-            gmap[x_star],
-            tuple(Slide(smap[m.x], smap[m.y], smap[m.z]) for m in goal_repair),
-            appended,
+        out.extend(Slide(gmap[m.x], gmap[m.y], gmap[m.z]) for m in local)
+        appended = tuple(
+            Slide(gmap[psi_inv[m.x]], gmap[psi_inv[m.z]], gmap[psi_inv[m.y]])
+            for m in reversed(goal_repair)
         )
-    )
+        suffixes.append(appended)
+        traces.append(
+            LevelTrace(
+                n,
+                smap[y_star],
+                gmap[x_star],
+                tuple(Slide(smap[m.x], smap[m.y], smap[m.z]) for m in goal_repair),
+                appended,
+            )
+        )
 
-    keepG = [v for v in range(n) if v != x_star]
-    keepS = [v for v in range(n) if v != y_star]
-    sub_psi = []
-    for v in keepG:
-        t = psi[v]
-        sub_psi.append(t if t < y_star else t - 1)
-    _transform_level(
-        _induced(gG, x_star),
-        _induced(gS, y_star),
-        sub_psi,
-        [gmap[v] for v in keepG],
-        [smap[v] for v in keepS],
-        out,
-        traces,
-    )
-    out.extend(appended)
+        psi = [t if t < y_star else t - 1 for v, t in enumerate(psi) if v != x_star]
+        del gmap[x_star]
+        del smap[y_star]
+        gG.remove_vertex(x_star)
+        gS.remove_vertex(y_star)
+    # each level's goal repair is undone after every deeper level
+    for appended in reversed(suffixes):
+        out.extend(appended)
+    return tuple(out), traces
 
 
 def _check_pair(g: Graph, h: Graph, psi: Sequence[int]):
@@ -320,10 +309,8 @@ def transform_peel(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
     """The paper's level-peeling construction; same contract as
     :func:`transform`, and the plan's trace has one entry per level."""
     psi, gG, gS = _check_pair(g, h, psi)
-    out: list = []
-    traces: list = []
-    _transform_level(gG, gS, list(psi), list(range(g.n)), list(range(h.n)), out, traces)
-    return _verified(g, h, psi, tuple(out), traces)
+    script, traces = _peel(gG, gS, list(psi))
+    return _verified(g, h, psi, script, traces)
 
 
 def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
@@ -352,6 +339,8 @@ def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
             for x, y in missing
             if not bridge or (side[x] < 0) != (side[y] < 0)
         )
-        _move_edge(adj, out, (u, v), (x, y))
+        # legal by the module docstring's argument: any missing pair when
+        # uv is not a bridge, a pair across its cut when it is
+        _relocate(adj, out, (u, v), (x, y))
         missing.remove((x, y))
     return _verified(g, h, psi, tuple(out), ())

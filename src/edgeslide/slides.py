@@ -5,6 +5,10 @@ Every public function returns a replayable script of ``Slide`` moves whose
 net effect is exactly the documented rewrite; intermediate states stay
 connected and simple.  All selection rules break ties by smallest vertex
 id so scripts are reproducible.
+
+The public functions validate their input.  The engine helpers below
+trust their caller: ``_relocate`` in particular runs no connectivity
+check, so every caller must already know the move is legal.
 """
 from __future__ import annotations
 
@@ -77,32 +81,16 @@ def _relabel(adj: Adj, uv: tuple[int, int], x: int) -> tuple[int, int]:
     # sub-moves of the Case-3 split below satisfy their own
     # connectivity preconditions.
     u, v = uv
-    pu = adj.bfs_path(x, u, banned=uv)
-    pv = adj.bfs_path(x, v, banned=uv)
-    if pu is None:
+    dist = adj.distances([x], banned=uv)
+    if dist[u] < 0 or 0 <= dist[v] < dist[u]:
         return (v, u)
-    if pv is None or len(pu) <= len(pv):
-        return (u, v)
-    return (v, u)
-
-
-def _move_edge(adj: Adj, out: list, uv: tuple[int, int], xy: tuple[int, int]) -> None:
-    u, v = uv
-    x, y = xy
-    if not adj.has(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge")
-    if {u, v} == {x, y}:
-        raise GraphError("target pair equals the moved edge")
-    if x == y or adj.has(x, y):
-        raise GraphError(f"target pair ({x}, {y}) must be non-adjacent")
-    if not _connected_after_move(adj, (u, v), (x, y)):
-        raise GraphError(f"moving ({u}, {v}) to ({x}, {y}) would disconnect the graph")
-    _relocate(adj, out, (u, v), (x, y))
+    return (u, v)
 
 
 def _relocate(adj: Adj, out: list, uv: tuple[int, int], xy: tuple[int, int]) -> None:
-    # Unchecked body of _move_edge: the move must be legal.  The two
-    # sub-moves of the split are, by the _relabel orientation.
+    # Move the edge uv onto the pair xy, unchecked: uv must be an edge,
+    # xy a different non-adjacent pair, and G - uv + xy connected.  The
+    # two sub-moves of the split then are too, by the _relabel orientation.
     u, v = uv
     x, y = xy
     if y in (u, v) and x not in (u, v):
@@ -268,11 +256,19 @@ def move_edge(g: Graph, uv: tuple[int, int], xy: tuple[int, int]) -> MoveScript:
     adj = Adj.from_graph(g)
     if not adj.connected():
         raise GraphError("graph must be connected")
+    u, v = uv
+    x, y = xy
+    if not adj.has(u, v):
+        raise GraphError(f"({u}, {v}) is not an edge")
+    if {u, v} == {x, y}:
+        raise GraphError("target pair equals the moved edge")
+    if x == y or adj.has(x, y):
+        raise GraphError(f"target pair ({x}, {y}) must be non-adjacent")
+    if not _connected_after_move(adj, (u, v), (x, y)):
+        raise GraphError(f"moving ({u}, {v}) to ({x}, {y}) would disconnect the graph")
     out: list = []
-    _move_edge(adj, out, tuple(uv), tuple(xy))
+    _relocate(adj, out, (u, v), (x, y))
     if __debug__:
-        u, v = uv
-        x, y = xy
         want = set(g.edges) - {(min(u, v), max(u, v))} | {(min(x, y), max(x, y))}
         assert set(adj.sorted_edges()) == want, "net effect mismatch"
     return tuple(out)

@@ -1,0 +1,65 @@
+"""Byte pins on the engines' output.
+
+C9 compares two runs of the same code; these digests compare the code
+with the scripts it emitted before.  They hash ``serialize_script`` of
+``transform``, of ``transform_peel`` (with ``repr`` of its level trace)
+and of ``move_edge`` on seeded inputs.  A change that alters scripts on
+purpose updates the constants and says so in ``CHANGES.md``.
+"""
+import hashlib
+import random
+
+from edgeslide import move_edge, serialize_script, transform, transform_peel
+from helpers import legal_relocations, random_connected_graph
+
+PINNED = {
+    "transform": "4528a647434e4787352d78eb182a7078f5f41519feb9249fd7b3cf3bba10bc33",
+    "transform_peel": "123f7433d7332269281cfe2892b872a30fdb8dd44ebfc6d4ad4ea1d93e2ea352",
+    "move_edge": "aaa71d270e6bd01b339ea394fce269de0f0ddc41adec5232885055a3716d00e2",
+}
+
+
+def _pairs():
+    rng = random.Random(2024)
+    out = []
+    for n in rng.sample(range(3, 31), 12):
+        e = rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))
+        g = random_connected_graph(n, e, rng)
+        h = random_connected_graph(n, e, rng)
+        out.append((g, h, tuple(rng.sample(range(n), n))))
+    return out
+
+
+def _relocations():
+    rng = random.Random(2024)
+    out = []
+    while len(out) < 20:
+        n = rng.randint(4, 12)
+        g = random_connected_graph(n, rng.randint(n - 1, min(2 * n, n * (n - 1) // 2)), rng)
+        legal = [(uv, xy) for uv, xy, _ in legal_relocations(g)]
+        if legal:
+            out.append((g, *rng.choice(legal)))
+    return out
+
+
+def _digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_engine_scripts_match_pinned_digests():
+    pairs = _pairs()
+    peel = [transform_peel(g, h, psi) for g, h, psi in pairs]
+    got = {
+        "transform": _digest(serialize_script(transform(g, h, psi).script) for g, h, psi in pairs),
+        "transform_peel": _digest(
+            serialize_script(p.script) + repr(p.trace) for p in peel
+        ),
+        "move_edge": _digest(
+            serialize_script(move_edge(g, uv, xy)) for g, uv, xy in _relocations()
+        ),
+    }
+    assert got == PINNED

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -113,6 +115,17 @@ def test_transform_trace_depth():
     h = random_connected_graph(6, 9, random.Random(5))
     plan = transform_peel(g, h, identity_bijection(6))
     assert [t.size for t in plan.trace] == [6, 5, 4, 3, 2]
+
+
+def test_transform_peel_depth_does_not_grow_with_levels():
+    # 60 levels under a recursion budget of 40 frames above this one
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        plan = transform_peel(path_graph(60), path_graph(60), identity_bijection(60))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(plan.trace) == 59
 
 
 def test_transform_rejects_count_mismatch():
