@@ -119,3 +119,28 @@ def transform_sweep_chunk(args):
             verified += 1
             moves_checked += len(plan.script)
     return verified, moves_checked
+
+
+def replay_checking_every_move(g: Graph, script):
+    """Full-check replay that checks the whole state after every move:
+    connectivity, simplicity, Euler characteristic and curvature sum.
+
+    The slow oracle for the verifier's mutation tests: a rejected script
+    raises the same ``MoveError`` as ``replay(..., check="full")``, at
+    the same index.
+    """
+    from edgeslide import GraphError, MoveError
+    from edgeslide._adj import Adj
+    from edgeslide.moves import _check_state, apply_move_adj
+
+    adj = Adj.from_graph(g)
+    chi0 = g.n - g.e
+    if not adj.connected():
+        raise GraphError("full replay requires a connected start graph")
+    for i, m in enumerate(script):
+        try:
+            apply_move_adj(adj, m)
+        except MoveError as err:
+            raise MoveError(str(err), index=i) from None
+        _check_state(adj, chi0, i)
+    return adj.to_graph()

@@ -2,20 +2,33 @@
 
 C9 compares two runs of the same code; these digests compare the code
 with the scripts it emitted before.  They hash ``serialize_script`` of
-``transform``, of ``transform_peel`` (with ``repr`` of its level trace)
-and of ``move_edge`` on seeded inputs.  A change that alters scripts on
+``transform``, of ``transform_peel`` (with ``repr`` of its level trace),
+of ``move_edge``, of ``regularize`` and of ``transform_euler`` (with
+``repr`` of its mapping) on seeded inputs.  A change that alters scripts on
 purpose updates the constants and says so in ``CHANGES.md``.
 """
 import hashlib
 import random
 
-from edgeslide import move_edge, serialize_script, transform, transform_peel
+from edgeslide import (
+    move_edge,
+    regularize,
+    serialize_script,
+    transform,
+    transform_euler,
+    transform_peel,
+)
 from helpers import legal_relocations, random_connected_graph
 
 PINNED = {
     "transform": "4528a647434e4787352d78eb182a7078f5f41519feb9249fd7b3cf3bba10bc33",
     "transform_peel": "123f7433d7332269281cfe2892b872a30fdb8dd44ebfc6d4ad4ea1d93e2ea352",
     "move_edge": "aaa71d270e6bd01b339ea394fce269de0f0ddc41adec5232885055a3716d00e2",
+}
+
+PINNED_RESIZE = {
+    "regularize": "218007226ac1e5042bbf31c51a695c3b1e199cde0ca5b42359268ed1b7a1c84e",
+    "transform_euler": "020094bf3f90877f15095fed02e89410f65ef35bf401ed101a7da704f76a453c",
 }
 
 
@@ -42,6 +55,18 @@ def _relocations():
     return out
 
 
+def _euler_pairs():
+    rng = random.Random(2025)
+    out = []
+    for _ in range(8):
+        small, big = sorted(rng.sample(range(3, 31), 2))
+        chi = rng.randint(max(small * (3 - small) // 2, -small), 1)
+        g = random_connected_graph(small, small - chi, rng)
+        h = random_connected_graph(big, big - chi, rng)
+        out += [(g, h), (h, g)]
+    return out
+
+
 def _digest(texts) -> str:
     h = hashlib.sha256()
     for text in texts:
@@ -63,3 +88,17 @@ def test_engine_scripts_match_pinned_digests():
         ),
     }
     assert got == PINNED
+
+
+def test_regularize_and_euler_scripts_match_pinned_digests():
+    rng = random.Random(2025)
+    graphs = []
+    for n in rng.sample(range(3, 41), 12):
+        e = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        graphs.append(random_connected_graph(n, e, rng))
+    euler = [transform_euler(g, h) for g, h in _euler_pairs()]
+    got = {
+        "regularize": _digest(serialize_script(regularize(g)) for g in graphs),
+        "transform_euler": _digest(serialize_script(s) + repr(m) for s, m in euler),
+    }
+    assert got == PINNED_RESIZE
