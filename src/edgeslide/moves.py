@@ -174,10 +174,20 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
     """Replay a script with per-move validation; a rejected move reports
     its index.
 
-    ``fast`` checks each move's precondition only.  ``full`` additionally
-    asserts, after every move, that the state is a connected simple graph,
-    that the Euler characteristic never changed, and that the curvature
-    sum equals twice the Euler characteristic.
+    ``fast`` checks each move's precondition only.  ``full`` also asserts
+    that the state is a connected simple graph, that the Euler
+    characteristic never changed, and that the curvature sum equals twice
+    the Euler characteristic.  A legal move keeps all of this: each kind
+    changes n and e together or not at all, it creates no loop or double
+    edge, and it leaves a path between the ends of any edge it removes
+    (x-z-y after ``S x y z``, x-y-z after ``SD x z y``, the new edge
+    after ``SM y x z``).  So after a slide, pendant or subdivision the
+    full check reads only the pairs the move wrote and the pair that keeps
+    that path: each must read the same from both ends, with no loop at
+    either.  A removal renumbers every set, so after ``RL`` and ``SM``,
+    and once after the last move, it checks the whole state.  A move
+    whose pairs fail the local check gets the whole-state check at once,
+    so it is rejected at its own index with that check's message.
     """
     if check not in ("fast", "full"):
         raise ValueError(f"check must be 'fast' or 'full', got {check!r}")
@@ -191,9 +201,27 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
             apply_move_adj(adj, m)
         except MoveError as err:
             raise MoveError(str(err), index=i) from None
-        if full:
+        if full and (isinstance(m, (RemoveLeaf, Smooth)) or not _wrote_cleanly(adj, m)):
             _check_state(adj, chi0, i)
+    if full and script:
+        _check_state(adj, chi0, len(script) - 1)
     return adj.to_graph()
+
+
+def _wrote_cleanly(adj: Adj, m: Move) -> bool:
+    """Each pair a slide, pendant or subdivision wrote, and the pair that
+    keeps its ends joined, reads the same from both ends, with no loop."""
+    if isinstance(m, Slide):
+        pairs = ((m.x, m.z, True), (m.z, m.y, True), (m.x, m.y, False))
+    elif isinstance(m, AddPendant):
+        pairs = ((m.x, m.y, True),)
+    else:  # Subdivide
+        pairs = ((m.x, m.y, True), (m.y, m.z, True), (m.x, m.z, False))
+    nbrs = adj.nbrs
+    for a, b, edge in pairs:
+        if not (b in nbrs[a]) == (a in nbrs[b]) == edge or a in nbrs[a] or b in nbrs[b]:
+            return False
+    return True
 
 
 def _check_state(adj: Adj, chi0: int, index: int) -> None:

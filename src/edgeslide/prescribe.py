@@ -37,7 +37,7 @@ from .graph import (
     _check_vertex,
 )
 from .moves import MoveScript, Slide, replay
-from .slides import _connected_after_move, _interchange, _relocate
+from .slides import _interchange, _relocate
 
 __all__ = [
     "raise_degree_in_tree",
@@ -166,13 +166,9 @@ def _reduce_degree(adj: Adj, x_star: int, d1: int, out: list) -> None:
                     "complement is complete while degree reduction is still "
                     "needed; impossible for equal edge counts"
                 )
-            w = None
-            # legal: the first candidate that passes this check is moved
-            for cand in sorted(adj.nbrs[x_star]):
-                if _connected_after_move(adj, (x_star, cand), pair):
-                    w = cand
-                    break
-            assert w is not None
+            # legal: G - x* is connected and holds the pair, and x* keeps
+            # d(x*) - 1 >= d1 >= 1 edges into it
+            w = min(adj.nbrs[x_star])
         _relocate(adj, out, (x_star, w), pair)
 
 

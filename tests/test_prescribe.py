@@ -23,6 +23,7 @@ from edgeslide import (
     transform,
     transform_peel,
 )
+from edgeslide._adj import Adj
 from helpers import nx_graph, random_connected_graph
 
 
@@ -126,6 +127,22 @@ def test_transform_peel_depth_does_not_grow_with_levels():
     finally:
         sys.setrecursionlimit(limit)
     assert len(plan.trace) == 59
+
+
+def test_transform_peel_checks_connectivity_only_on_its_inputs(monkeypatch):
+    # every degree-reducing move is legal by construction, so the only
+    # whole-graph connectivity tests are the two input checks
+    rng = random.Random(30)
+    pairs = []
+    for n in list(range(5, 31)) + [5, 6, 7, 8]:
+        e = rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))
+        pairs.append((random_connected_graph(n, e, rng), random_connected_graph(n, e, rng), rng.sample(range(n), n)))
+    calls = []
+    original = Adj.connected
+    monkeypatch.setattr(Adj, "connected", lambda self: calls.append(self.n) or original(self))
+    for g, h, psi in pairs:
+        transform_peel(g, h, psi)
+    assert len(calls) == 2 * len(pairs)
 
 
 def test_transform_rejects_count_mismatch():

@@ -18,7 +18,9 @@ from edgeslide import (
     Smooth,
     Subdivide,
     apply_move,
+    identity_bijection,
     replay,
+    transform,
 )
 from edgeslide._adj import Adj
 from edgeslide.moves import check_move
@@ -159,3 +161,37 @@ def test_corrupted_adjacency_rejected_at_the_same_index(monkeypatch, method, cor
             assert isinstance(script[verdict[1]], kinds)
             rejected += 1
     assert rejected > len(walks) // 2
+
+
+def _count_connected(monkeypatch):
+    calls = []
+    original = Adj.connected
+
+    def counted(self):
+        calls.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(Adj, "connected", counted)
+    return calls
+
+
+def test_full_replay_runs_two_connectivity_checks(monkeypatch):
+    # one on the start graph and one after the last move, however long
+    # the script: slides, pendants and subdivisions are checked locally
+    rng = random.Random(5)
+    g = random_connected_graph(60, 120, rng)
+    h = random_connected_graph(60, 120, rng)
+    slides = list(transform(g, h, identity_bijection(60)).script)
+    script = list(slides)
+    grown = replay(g, slides)
+    for _ in range(40):
+        x, z = rng.choice(grown.edges)
+        m = rng.choice((AddPendant(x, grown.n), Subdivide(x, z, grown.n)))
+        grown = apply_move(grown, m)
+        script.append(m)
+    assert len(slides) > 100
+    calls = _count_connected(monkeypatch)
+    for part in (slides, script):
+        calls.clear()
+        replay(g, part, check="full")
+        assert len(calls) == 2
