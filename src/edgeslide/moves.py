@@ -219,7 +219,7 @@ def _wrote_cleanly(adj: Adj, m: Move) -> bool:
         pairs = ((m.x, m.y, True), (m.y, m.z, True), (m.x, m.z, False))
     nbrs = adj.nbrs
     for a, b, edge in pairs:
-        if not (b in nbrs[a]) == (a in nbrs[b]) == edge or a in nbrs[a] or b in nbrs[b]:
+        if (b in nbrs[a]) != edge or (a in nbrs[b]) != edge or a in nbrs[a] or b in nbrs[b]:
             return False
     return True
 

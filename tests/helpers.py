@@ -144,3 +144,14 @@ def replay_checking_every_move(g: Graph, script):
             raise MoveError(str(err), index=i) from None
         _check_state(adj, chi0, i)
     return adj.to_graph()
+
+
+def count_connectivity_checks(monkeypatch) -> list:
+    """Wrap ``Adj.connected`` for one test; the returned list gains the
+    vertex count of every graph it is called on."""
+    from edgeslide._adj import Adj
+
+    calls = []
+    original = Adj.connected
+    monkeypatch.setattr(Adj, "connected", lambda self: calls.append(self.n) or original(self))
+    return calls

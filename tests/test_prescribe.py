@@ -23,8 +23,7 @@ from edgeslide import (
     transform,
     transform_peel,
 )
-from edgeslide._adj import Adj
-from helpers import nx_graph, random_connected_graph
+from helpers import count_connectivity_checks, nx_graph, random_connected_graph
 
 
 # --- raise_degree_in_tree ------------------------------------------------------
@@ -137,9 +136,7 @@ def test_transform_peel_checks_connectivity_only_on_its_inputs(monkeypatch):
     for n in list(range(5, 31)) + [5, 6, 7, 8]:
         e = rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))
         pairs.append((random_connected_graph(n, e, rng), random_connected_graph(n, e, rng), rng.sample(range(n), n)))
-    calls = []
-    original = Adj.connected
-    monkeypatch.setattr(Adj, "connected", lambda self: calls.append(self.n) or original(self))
+    calls = count_connectivity_checks(monkeypatch)
     for g, h, psi in pairs:
         transform_peel(g, h, psi)
     assert len(calls) == 2 * len(pairs)

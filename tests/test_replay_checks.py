@@ -24,14 +24,14 @@ from edgeslide import (
 )
 from edgeslide._adj import Adj
 from edgeslide.moves import check_move
-from helpers import random_connected_graph, replay_checking_every_move
+from helpers import count_connectivity_checks, random_connected_graph, replay_checking_every_move
 
 SEEDS = range(24)
 
 
 def _legal_moves(g):
-    """Every legal move on g, grouped by kind; the order stays between 5
-    and 11 so that walks keep all five kinds available."""
+    """Every legal move on g, grouped by kind.  Growth stops at 12
+    vertices and removal at 4, so walks keep all five kinds available."""
     n = g.n
     nb = [set(g.neighbors(v)) for v in range(n)]
     slides = [Slide(x, y, z) for x in range(n) for y in sorted(nb[x]) for z in sorted(nb[y]) if z != x and z not in nb[x]]
@@ -163,18 +163,6 @@ def test_corrupted_adjacency_rejected_at_the_same_index(monkeypatch, method, cor
     assert rejected > len(walks) // 2
 
 
-def _count_connected(monkeypatch):
-    calls = []
-    original = Adj.connected
-
-    def counted(self):
-        calls.append(self.n)
-        return original(self)
-
-    monkeypatch.setattr(Adj, "connected", counted)
-    return calls
-
-
 def test_full_replay_runs_two_connectivity_checks(monkeypatch):
     # one on the start graph and one after the last move, however long
     # the script: slides, pendants and subdivisions are checked locally
@@ -190,7 +178,7 @@ def test_full_replay_runs_two_connectivity_checks(monkeypatch):
         grown = apply_move(grown, m)
         script.append(m)
     assert len(slides) > 100
-    calls = _count_connected(monkeypatch)
+    calls = count_connectivity_checks(monkeypatch)
     for part in (slides, script):
         calls.clear()
         replay(g, part, check="full")
