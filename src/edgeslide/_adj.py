@@ -120,19 +120,17 @@ class Adj:
                     queue.append(v)
         return Adj(self.n, tree) if count == self.n else None
 
-    def distances(self, sources, banned: tuple[int, int] | None = None) -> list[int]:
-        """Hop count from the nearest source, -1 where unreachable without
-        crossing the banned edge."""
-        ba, bb = banned if banned is not None else (-1, -1)
+    def distances(self, source: int) -> list[int]:
+        """Hop count from source, -1 where unreachable.  A caller that
+        needs distances avoiding an edge removes it first and adds it
+        back after."""
         dist = [-1] * self.n
-        for s in sources:
-            dist[s] = 0
-        queue = deque(sources)
-        while queue:
-            u = queue.popleft()
+        dist[source] = 0
+        queue = [source]
+        for u in queue:
             step = dist[u] + 1
             for v in self.nbrs[u]:
-                if dist[v] < 0 and not ((u == ba and v == bb) or (u == bb and v == ba)):
+                if dist[v] < 0:
                     dist[v] = step
                     queue.append(v)
         return dist

@@ -2,12 +2,12 @@
 
 Enumerates all connected labeled graphs with given (n, e), expands the
 one-step slide relation, and runs a full breadth-first census of the
-slide-reachability graph.  Used to certify the constructive algorithms
-exhaustively on small universes.
+slide-reachability graph, or tabulates its all-pairs slide distances.
+Used to certify the constructive algorithms exhaustively on small
+universes, and to measure their scripts against the exact optimum.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,6 +18,7 @@ __all__ = [
     "enumerate_connected",
     "slide_neighbors",
     "reachability_census",
+    "slide_distances",
     "CensusReport",
     "format_census_table",
 ]
@@ -80,43 +81,49 @@ class CensusReport:
     diameter: int
 
 
+def _slide_graph(n: int, e: int, cap: int) -> tuple[list[Graph], Adj]:
+    """The connected (n, e) universe and its one-slide graph, whose
+    vertex i is universe[i].  The relation is symmetric: S x z y undoes
+    S x y z."""
+    universe = enumerate_connected(n, e, cap=cap)
+    index = {g.edges: i for i, g in enumerate(universe)}
+    nbrs = []
+    for g in universe:
+        sets = [set(s) for s in g.neighbor_sets()]
+        nbrs.append({index[k] for k in _slide_neighbor_keys(g.n, sets, g.edges)})
+    return universe, Adj(len(universe), nbrs)
+
+
 def reachability_census(n: int, e: int, cap: int = 5) -> CensusReport:
     """Full BFS census of the slide relation over all connected (n, e)
     graphs: equivalence class count and the largest pairwise slide
     distance within a class."""
     if n > cap:
         raise GraphError(f"n={n} exceeds the census cap {cap}")
-    universe = enumerate_connected(n, e, cap=cap)
-    keys = [g.edges for g in universe]
-    index = {key: i for i, key in enumerate(keys)}
-    neighbor_ids: list[list[int]] = []
-    for g in universe:
-        nbrs = [set(s) for s in g.neighbor_sets()]
-        neighbor_ids.append(
-            [index[k] for k in _slide_neighbor_keys(g.n, nbrs, g.edges)]
-        )
-
+    universe, slides = _slide_graph(n, e, cap)
     count = len(universe)
     classes = 0
     diameter = 0
     labelled = [False] * count
     for start in range(count):
+        dist = slides.distances(start)
         # a start no earlier BFS reached opens a class; its BFS labels it
         if not labelled[start]:
             classes += 1
-        dist = {start: 0}
-        queue = deque([start])
-        far = 0
-        while queue:
-            u = queue.popleft()
-            for v in neighbor_ids[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    far = max(far, dist[v])
-                    labelled[v] = True
-                    queue.append(v)
-        diameter = max(diameter, far)
+            labelled = [seen or d >= 0 for seen, d in zip(labelled, dist)]
+        diameter = max(diameter, max(dist))
     return CensusReport(n, e, count, classes, diameter)
+
+
+def slide_distances(n: int, e: int) -> tuple[list[Graph], list[list[int]]]:
+    """The connected (n, e) universe, in :func:`enumerate_connected`
+    order, and the fewest slides carrying each member onto each other:
+    ``table[i][j]`` for universe[i] onto universe[j], -1 when no script
+    exists.  For n <= 6."""
+    if n > 6:
+        raise GraphError(f"n={n} exceeds the slide-distance cap 6")
+    universe, slides = _slide_graph(n, e, 6)
+    return universe, [slides.distances(start) for start in range(len(universe))]
 
 
 def format_census_table(reports: list[CensusReport]) -> str:

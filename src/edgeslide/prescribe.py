@@ -6,9 +6,12 @@ carrying the first graph onto a graph that ``psi`` maps isomorphically
 onto the second, and verify it before returning.
 
 :func:`transform` relocates edges one at a time.  It pulls the goal back
-through ``psi`` to a target edge set T and moves each edge outside T,
-in sorted order, onto the nearest pair of T still missing, with the
-single-edge relocation of :mod:`edgeslide.slides`.  A legal pair always
+through ``psi`` to a target edge set T and moves each edge uv outside T,
+in sorted order, onto the pair xy of T still missing that minimises
+min(d_u(x) + d_v(y), d_u(y) + d_v(x)), with d_u and d_v the distances
+in G - uv, using the single-edge relocation of :mod:`edgeslide.slides`.
+That relocation carries both ends of the edge, one step per slide, so
+the sum predicts its cost.  A legal pair always
 exists: when the edge is not a bridge any missing pair keeps the graph
 connected; when it is, the connected goal has a T-edge across the cut,
 and that edge is missing because the bridge was the only crossing edge.
@@ -252,8 +255,6 @@ def _peel(gG: Adj, gS: Adj, psi: list[int]) -> tuple[MoveScript, list[LevelTrace
         _repair_components(gG, x_star, local)
         goal_repair: list = []
         _repair_components(gS, y_star, goal_repair)
-        assert len(gG.components(skip=x_star)) == 1
-        assert len(gS.components(skip=y_star)) == 1
 
         out.extend(Slide(gmap[m.x], gmap[m.y], gmap[m.z]) for m in local)
         appended = tuple(
@@ -315,11 +316,15 @@ def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
     Both graphs must be connected with equal vertex and edge counts.  The
     returned plan's script contains only Slide moves; replaying it from g
     and checking the result against h under psi always succeeds (the plan
-    is verified before it is returned).  Each edge of g outside the
-    pulled-back goal is relocated once, onto the missing goal pair
-    nearest to it, so the script is empty when g already matches h.
+    is verified before it is returned).  Each edge uv of g outside the
+    pulled-back goal is relocated once, onto the missing goal pair xy
+    with the smallest min(d_u(x) + d_v(y), d_u(y) + d_v(x)) in g - uv
+    (an unreachable vertex counts as n), because each slide of the
+    relocation moves one end of the edge by one step.  The script is
+    empty when g already matches h.
     """
     psi, adj, _ = _check_pair(g, h, psi)
+    n = adj.n
     inv = inverse_bijection(psi)
     target = {(min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in h.edges}
     missing = sorted(target.difference(g.edges))
@@ -327,13 +332,18 @@ def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
     # relocating uv onto a missing pair changes exactly those two edges,
     # so the surplus edges can be fixed in one sorted pass
     for u, v in sorted(set(g.edges) - target):
-        side = adj.distances([u], banned=(u, v))
-        bridge = side[v] < 0
-        dist = adj.distances([u, v])
+        adj.remove(u, v)
+        du = adj.distances(u)
+        dv = adj.distances(v)
+        adj.add(u, v)
+        bridge = du[v] < 0
+        if bridge:
+            du = [d if d >= 0 else n for d in du]
+            dv = [d if d >= 0 else n for d in dv]
         _, x, y = min(
-            (min(dist[x], dist[y]), x, y)
+            (min(du[x] + dv[y], du[y] + dv[x]), x, y)
             for x, y in missing
-            if not bridge or (side[x] < 0) != (side[y] < 0)
+            if not bridge or (du[x] == n) != (du[y] == n)
         )
         # legal by the module docstring's argument: any missing pair when
         # uv is not a bridge, a pair across its cut when it is

@@ -81,7 +81,9 @@ def _relabel(adj: Adj, uv: tuple[int, int], x: int) -> tuple[int, int]:
     # sub-moves of the Case-3 split below satisfy their own
     # connectivity preconditions.
     u, v = uv
-    dist = adj.distances([x], banned=uv)
+    adj.remove(u, v)
+    dist = adj.distances(x)
+    adj.add(u, v)
     if dist[u] < 0 or 0 <= dist[v] < dist[u]:
         return (v, u)
     return (u, v)

@@ -91,8 +91,9 @@ def transform_sweep_chunk(args):
     """Verify the plans of one transform engine for a slice of the
     ordered-pair space of one (n, e) universe.  `args` is
     (engine, n, e, lo, hi).  Returns (plans verified, slide moves
-    full-checked); seeds depend only on (n, e, pair index), so the
-    aggregate result is independent of scheduling.
+    full-checked, slides of each pair's identity-bijection plan in pair
+    order); seeds depend only on (n, e, pair index), so the aggregate
+    result is independent of scheduling.
     """
     from edgeslide import (
         enumerate_connected,
@@ -106,6 +107,7 @@ def transform_sweep_chunk(args):
     count = len(graphs)
     verified = 0
     moves_checked = 0
+    identity_slides = []
     for idx in range(lo, hi):
         i, j = divmod(idx, count)
         ga, gb = graphs[i], graphs[j]
@@ -118,12 +120,14 @@ def transform_sweep_chunk(args):
             assert is_isomorphic_under(final, gb, psi)
             verified += 1
             moves_checked += len(plan.script)
-    return verified, moves_checked
+            if psi is psis[0]:
+                identity_slides.append(len(plan.script))
+    return verified, moves_checked, identity_slides
 
 
 def replay_checking_every_move(g: Graph, script):
     """Full-check replay that checks the whole state after every move:
-    connectivity, simplicity, Euler characteristic and curvature sum.
+    connectivity, simplicity and Euler characteristic.
 
     The slow oracle for the verifier's mutation tests: a rejected script
     raises the same ``MoveError`` as ``replay(..., check="full")``, at

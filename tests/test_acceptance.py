@@ -2,11 +2,11 @@
 
 Criteria 1 through 5 replay every generated script in full-check mode.
 That checks each move's precondition and the neighbour sets it wrote,
-and asserts connectivity, simplicity, constant Euler characteristic and
-the curvature identity on the whole state after each vertex removal and
-after the last move.  Each accepted move keeps the Euler characteristic,
-so the curvature identity holds after every move; criterion 6 reports
-the total number of moves so checked.
+and asserts connectivity, simplicity and constant Euler characteristic
+on the whole state after each vertex removal and after the last move.
+Each accepted move keeps the Euler characteristic, and the curvature
+sum is 2n - 2e for any graph, so the curvature identity holds after
+every move; criterion 6 reports the total number of moves so checked.
 """
 import os
 import random
@@ -24,6 +24,7 @@ from edgeslide import (
     regularize_steps,
     replay,
     serialize_graph,
+    slide_distances,
     stats,
     transform,
     transform_euler,
@@ -50,20 +51,34 @@ def _report(label: str, ok: bool, detail: str = "") -> None:
     assert ok, label
 
 
-def test_c1_exhaustive_slide_equivalence():
-    # the default engine and the paper's peeling reference, same scope each
-    engines = (transform, transform_peel)
+# slides of transform's identity-bijection plan for every ordered n=5
+# pair, by e, in pair order: C1 records them and the optimum gate reads them
+N5_IDENTITY_SLIDES: dict[int, list[int]] = {}
+
+
+def _sweep(engines, scope):
+    """Verify every plan of each engine over the (n, e) scope on a process
+    pool; returns (chunk, result) pairs of ``transform_sweep_chunk``."""
     chunks = []
     for engine in engines:
-        for n, e in SWEEP_SCOPE:
+        for n, e in scope:
             pairs = len(enumerate_connected(n, e)) ** 2
             step = 4000
             chunks.extend((engine, n, e, lo, min(lo + step, pairs)) for lo in range(0, pairs, step))
     workers = min(os.cpu_count() or 1, 8)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(transform_sweep_chunk, chunks))
+    for (engine, n, e, _, _), (_, _, slides) in zip(chunks, results):
+        if engine is transform and n == 5:
+            N5_IDENTITY_SLIDES.setdefault(e, []).extend(slides)
+    return list(zip(chunks, results))
+
+
+def test_c1_exhaustive_slide_equivalence():
+    # the default engine and the paper's peeling reference, same scope each
+    engines = (transform, transform_peel)
     verified = {engine: 0 for engine in engines}
-    for chunk, (plans, moves) in zip(chunks, results):
+    for chunk, (plans, moves, _) in _sweep(engines, SWEEP_SCOPE):
         verified[chunk[0]] += plans
         FULL_CHECKED_MOVES["count"] += moves
     single_class = all(reachability_census(n, e).classes == 1 for n, e in SWEEP_SCOPE)
@@ -74,6 +89,37 @@ def test_c1_exhaustive_slide_equivalence():
         all(v == expected for v in verified.values()) and single_class,
         ", ".join(f"{engine.__name__}: {v} plans verified" for engine, v in verified.items())
         + ", census single-class",
+    )
+
+
+def test_c1_transform_slides_against_the_exact_optimum():
+    # C1's identity-bijection transform plans on every ordered n=5 pair,
+    # against the fewest slides: at most 1.20x in total, 3.5x on any pair
+    if not N5_IDENTITY_SLIDES:
+        _sweep((transform,), [(5, e) for e in range(4, 11)])
+    ok = True
+    slides = optimum = bound = 0
+    worst = (0, 1)
+    for e in range(4, 11):
+        universe, table = slide_distances(5, e)
+        count = len(universe)
+        ok = ok and len(N5_IDENTITY_SLIDES[e]) == count * count
+        for idx, moved in enumerate(N5_IDENTITY_SLIDES[e]):
+            i, j = divmod(idx, count)
+            opt = table[i][j]
+            slides += moved
+            optimum += opt
+            bound += len(set(universe[i].edges).difference(universe[j].edges))
+            ok = ok and 2 * moved <= 7 * opt
+            if moved * worst[1] > worst[0] * opt:
+                worst = (moved, opt)
+    ok = ok and 5 * slides <= 6 * optimum
+    _report(
+        "C1 transform slides within 1.20x of the exact optimum over every n=5 pair "
+        "(identity bijection), no pair above 3.5x",
+        ok,
+        f"{slides} slides, optimum {optimum} ({slides / optimum:.3f}x), lower bound {bound}, "
+        f"worst pair {worst[0]} against {worst[1]}",
     )
 
 

@@ -11,6 +11,7 @@ from edgeslide import (
     identity_bijection,
     path_graph,
     reachability_census,
+    slide_distances,
     slide_neighbors,
     transform,
 )
@@ -113,3 +114,31 @@ def test_script_length_bounds_slide_distance():
                     queue.append(v)
         plan = transform(universe[a], universe[b], identity_bijection(4))
         assert len(plan.script) >= dist[b]
+
+
+def test_slide_distances_satisfy_the_one_slide_recurrence():
+    # d(i, i) = 0 and d(i, j) = 1 + min over one-slide neighbours k of i
+    # of d(k, j): this characterises the slide distance
+    for n, e in [(3, 2), (4, 3), (4, 4), (4, 5), (5, 5)]:
+        universe, table = slide_distances(n, e)
+        assert universe == enumerate_connected(n, e)
+        index = {g.edges: i for i, g in enumerate(universe)}
+        for i, g in enumerate(universe):
+            near = [index[h.edges] for h in slide_neighbors(g)]
+            for j in range(len(universe)):
+                want = 0 if i == j else 1 + min(table[k][j] for k in near)
+                assert table[i][j] == want
+        assert max(map(max, table)) == reachability_census(n, e).diameter
+
+
+def test_slide_distances_between_lower_bound_and_transform():
+    universe, table = slide_distances(4, 4)
+    for i, g in enumerate(universe):
+        for j, h in enumerate(universe):
+            moved = len(transform(g, h, identity_bijection(4)).script)
+            assert len(set(g.edges) - set(h.edges)) <= table[i][j] <= moved
+
+
+def test_slide_distances_cap():
+    with pytest.raises(GraphError):
+        slide_distances(7, 6)

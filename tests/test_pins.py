@@ -21,14 +21,14 @@ from edgeslide import (
 from helpers import legal_relocations, random_connected_graph
 
 PINNED = {
-    "transform": "4528a647434e4787352d78eb182a7078f5f41519feb9249fd7b3cf3bba10bc33",
+    "transform": "8032071f0824b31c789e88829719c8b09310ddb99b4349518e1c4d4c4f69c4b2",
     "transform_peel": "123f7433d7332269281cfe2892b872a30fdb8dd44ebfc6d4ad4ea1d93e2ea352",
     "move_edge": "aaa71d270e6bd01b339ea394fce269de0f0ddc41adec5232885055a3716d00e2",
 }
 
 PINNED_RESIZE = {
     "regularize": "218007226ac1e5042bbf31c51a695c3b1e199cde0ca5b42359268ed1b7a1c84e",
-    "transform_euler": "020094bf3f90877f15095fed02e89410f65ef35bf401ed101a7da704f76a453c",
+    "transform_euler": "66490aec08b41e62a9ff42e823e0e60b556ccf845020835cef5da405d472a8db",
 }
 
 
