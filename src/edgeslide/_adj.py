@@ -76,11 +76,11 @@ class Adj:
 
         return Graph(self.n, self.sorted_edges())
 
-    def bfs_path(self, a: int, b: int, banned: tuple[int, int] | None = None):
-        """Shortest path a -> b avoiding the banned edge, or None."""
+    def bfs_path(self, a: int, b: int):
+        """Shortest path a -> b, or None.  A caller that needs a path
+        avoiding an edge removes it first and adds it back after."""
         if a == b:
             return [a]
-        ba, bb = banned if banned is not None else (-1, -1)
         parent = [-2] * self.n
         parent[a] = -1
         queue = deque([a])
@@ -88,8 +88,6 @@ class Adj:
             u = queue.popleft()
             for v in sorted(self.nbrs[u]):
                 if parent[v] != -2:
-                    continue
-                if (u == ba and v == bb) or (u == bb and v == ba):
                     continue
                 parent[v] = u
                 if v == b:

@@ -18,8 +18,8 @@ from itertools import combinations, islice
 
 from ._adj import Adj
 from .graph import Graph, GraphError, identity_bijection
-from .moves import AddPendant, MoveScript, RemoveLeaf, Slide, Subdivide, replay
-from .prescribe import transform
+from .moves import AddPendant, MoveScript, RemoveLeaf, Slide, Subdivide, _verify_generated, replay
+from .prescribe import _relocation_script
 
 __all__ = [
     "expand_to_order",
@@ -57,7 +57,9 @@ def collapse_to_order(g: Graph, target_n: int) -> MoveScript:
     The result has the first target_n - chi pairs of 0..target_n-1 in
     lexicographic order as edges (the star at 0 comes first, so it is
     connected); leaves are removed from the top id down, so no vertex is
-    renumbered."""
+    renumbered.  The script is verified once before it is returned, by a
+    full-check replay whose result must be that graph exactly; a failure
+    raises ``MoveError``."""
     if not (1 <= target_n <= g.n):
         raise GraphError(f"target order {target_n} out of range for n={g.n}")
     adj = Adj.from_graph(g)
@@ -75,15 +77,15 @@ def collapse_to_order(g: Graph, target_n: int) -> MoveScript:
     if target_n == g.n:
         return ()
     core = Graph(target_n, islice(combinations(range(target_n), 2), target_n - chi))
-    return _collapse_onto(g, core)
+    return _verify_generated(g, _collapse_onto(g, core), core, identity_bijection(target_n))
 
 
 def _collapse_onto(g: Graph, core: Graph) -> MoveScript:
     """Slides carrying g onto core plus leaves core.n..g.n-1 hung on vertex
-    0, then the removals of those leaves from the top id down."""
+    0, then the removals of those leaves from the top id down; unverified."""
     big = replay(core, expand_to_order(core, g.n))
-    plan = transform(g, big, identity_bijection(g.n))
-    return plan.script + tuple(RemoveLeaf(m, 0) for m in range(g.n - 1, core.n - 1, -1))
+    slides = _relocation_script(g, big, identity_bijection(g.n))
+    return slides + tuple(RemoveLeaf(m, 0) for m in range(g.n - 1, core.n - 1, -1))
 
 
 def transform_euler(g: Graph, h: Graph) -> tuple[MoveScript, tuple[int, ...]]:
@@ -92,14 +94,19 @@ def transform_euler(g: Graph, h: Graph) -> tuple[MoveScript, tuple[int, ...]]:
     Grows g to h's order by pendants on vertex 0 and then slides into
     position, or slides g onto h plus leaves of 0 at the top ids and then
     removes them.  Returns the script and the vertex bijection (identity
-    on 0..h.n-1) under which the replayed result matches h.
+    on 0..h.n-1) under which the replayed result matches h.  The whole
+    script, pendants and removals included, is verified once before it
+    is returned, by a full-check replay and a check of the result against
+    h; a failure raises ``MoveError``.
     """
     chi_g = g.n - g.e
     chi_h = h.n - h.e
     if chi_g != chi_h:
         raise GraphError(f"Euler characteristic mismatch: {chi_g} != {chi_h}")
+    mapping = identity_bijection(h.n)
     if g.n > h.n:
-        return _collapse_onto(g, h), identity_bijection(h.n)
-    prefix = expand_to_order(g, h.n)
-    plan = transform(replay(g, prefix), h, identity_bijection(h.n))
-    return prefix + plan.script, identity_bijection(h.n)
+        script = _collapse_onto(g, h)
+    else:
+        prefix = expand_to_order(g, h.n)
+        script = prefix + _relocation_script(replay(g, prefix), h, mapping)
+    return _verify_generated(g, script, h, mapping), mapping

@@ -64,7 +64,7 @@ class Graph:
     ``(u, v)`` pairs with ``u < v``.
     """
 
-    __slots__ = ("n", "edges", "_nbr_sets", "_nbr_sorted")
+    __slots__ = ("n", "edges", "_nbr_sets")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if not isinstance(n, int) or n < 1:
@@ -87,7 +87,6 @@ class Graph:
             sets[v].add(u)
         self.edges = tuple(sorted(norm))
         self._nbr_sets = tuple(frozenset(s) for s in sets)
-        self._nbr_sorted = tuple(tuple(sorted(s)) for s in sets)
         if __debug__:
             assert sum(len(s) for s in self._nbr_sets) == 2 * len(self.edges)
 
@@ -103,7 +102,7 @@ class Graph:
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbors of u in ascending id order."""
-        return self._nbr_sorted[u]
+        return tuple(sorted(self._nbr_sets[u]))
 
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return self._nbr_sets
@@ -210,11 +209,15 @@ def shortest_path(
 ) -> Path | None:
     """Deterministic BFS shortest path from a to b, or None if unreachable.
 
-    ``forbidden`` names an edge that the path must not traverse.
+    ``forbidden`` names an edge that the path must not traverse; a pair
+    that is not an edge of g forbids nothing.
     """
     _check_vertex(g, a)
     _check_vertex(g, b)
-    path = Adj.from_graph(g).bfs_path(a, b, banned=forbidden)
+    adj = Adj.from_graph(g)
+    if forbidden is not None and all(isinstance(w, int) and 0 <= w < g.n for w in forbidden):
+        adj.remove(*forbidden)
+    path = adj.bfs_path(a, b)
     return None if path is None else tuple(path)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ._adj import Adj
-from .graph import Graph, GraphError, ParseError, _parse_ints
+from .graph import Graph, GraphError, ParseError, _parse_ints, is_isomorphic_under
 
 __all__ = [
     "Slide",
@@ -212,6 +212,24 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
     if full and script:
         _check_state(adj, chi0, len(script) - 1)
     return adj.to_graph()
+
+
+def _verify_generated(
+    g: Graph, script: MoveScript, goal: Graph | None = None, psi: Sequence[int] | None = None
+) -> MoveScript:
+    """Return a script this package generated once a full-check replay
+    from g accepts it and, given a goal, psi maps the result onto it.
+
+    The one verifier of generated scripts: ``transform``,
+    ``transform_peel``, ``transform_euler``, ``collapse_to_order`` and
+    ``regularize`` each run it once on the script they return.  A
+    rejected move raises its replay ``MoveError``; a result that misses
+    the goal raises ``MoveError`` too.
+    """
+    final = replay(g, script, check="full")
+    if goal is not None and (final.n != goal.n or not is_isomorphic_under(final, goal, psi)):
+        raise MoveError("generated script does not verify against the goal graph")
+    return script
 
 
 def _wrote_cleanly(adj: Adj, m: Move) -> bool:

@@ -3,7 +3,9 @@
 Given two connected simple graphs with equal vertex and edge counts and
 a vertex bijection ``psi``, both engines here produce a script of slides
 carrying the first graph onto a graph that ``psi`` maps isomorphically
-onto the second, and verify it before returning.
+onto the second.  Each verifies its script once before returning it, by
+a full-check replay and a check of the result against the goal, and
+raises :class:`~edgeslide.moves.MoveError` if that fails.
 
 :func:`transform` relocates edges one at a time.  It pulls the goal back
 through ``psi`` to a target edge set T and moves each edge uv outside T,
@@ -36,10 +38,9 @@ from .graph import (
     GraphError,
     check_bijection,
     inverse_bijection,
-    is_isomorphic_under,
     _check_vertex,
 )
-from .moves import MoveScript, Slide, replay
+from .moves import MoveScript, Slide, _verify_generated
 from .slides import _interchange, _relocate
 
 __all__ = [
@@ -296,33 +297,35 @@ def _check_pair(g: Graph, h: Graph, psi: Sequence[int]):
     return psi, gG, gS
 
 
-def _verified(g: Graph, h: Graph, psi, script: MoveScript, trace) -> TransformPlan:
-    if not is_isomorphic_under(replay(g, script), h, psi):
-        raise AssertionError("transform produced a non-verifying script")
-    return TransformPlan(script, tuple(trace))
-
-
 def transform_peel(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
     """The paper's level-peeling construction; same contract as
-    :func:`transform`, and the plan's trace has one entry per level."""
+    :func:`transform`, including its one full-check verification and
+    ``MoveError`` on failure, and the plan's trace has one entry per
+    level."""
     psi, gG, gS = _check_pair(g, h, psi)
     script, traces = _peel(gG, gS, list(psi))
-    return _verified(g, h, psi, script, traces)
+    return TransformPlan(_verify_generated(g, script, h, psi), tuple(traces))
 
 
 def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
     """Slides carrying g onto a graph that psi maps isomorphically onto h.
 
     Both graphs must be connected with equal vertex and edge counts.  The
-    returned plan's script contains only Slide moves; replaying it from g
-    and checking the result against h under psi always succeeds (the plan
-    is verified before it is returned).  Each edge uv of g outside the
-    pulled-back goal is relocated once, onto the missing goal pair xy
-    with the smallest min(d_u(x) + d_v(y), d_u(y) + d_v(x)) in g - uv
-    (an unreachable vertex counts as n), because each slide of the
-    relocation moves one end of the edge by one step.  The script is
-    empty when g already matches h.
+    returned plan's script contains only Slide moves, and it is verified
+    once before it is returned: a full-check replay from g, then the
+    result against h under psi; a failure raises ``MoveError``.  Each
+    edge uv of g outside the pulled-back goal is relocated once, onto the
+    missing goal pair xy with the smallest min(d_u(x) + d_v(y),
+    d_u(y) + d_v(x)) in g - uv (an unreachable vertex counts as n),
+    because each slide of the relocation moves one end of the edge by one
+    step.  The script is empty when g already matches h.
     """
+    return TransformPlan(_verify_generated(g, _relocation_script(g, h, psi), h, psi), ())
+
+
+def _relocation_script(g: Graph, h: Graph, psi: Sequence[int]) -> MoveScript:
+    """The slides of :func:`transform`, unverified.  The Euler resizing
+    verifies them as part of its whole script."""
     psi, adj, _ = _check_pair(g, h, psi)
     n = adj.n
     inv = inverse_bijection(psi)
@@ -349,4 +352,4 @@ def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
         # uv is not a bridge, a pair across its cut when it is
         _relocate(adj, out, (u, v), (x, y))
         missing.remove((x, y))
-    return _verified(g, h, psi, tuple(out), ())
+    return tuple(out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ._adj import Adj
 from .graph import Graph, GraphError
-from .moves import MoveScript
+from .moves import MoveScript, _verify_generated
 from .slides import _shuffle, _slide_step
 
 __all__ = [
@@ -129,8 +129,10 @@ def regularize_steps(g: Graph) -> tuple[RegularizeStep, ...]:
 
 def regularize(g: Graph) -> MoveScript:
     """Slides carrying g to an almost regular graph realizing the
-    (k, r) profile of :func:`almost_regular_target`."""
+    (k, r) profile of :func:`almost_regular_target`.  The script is
+    verified once before it is returned, by a full-check replay; a
+    rejected move raises ``MoveError``."""
     script: list = []
     for step in regularize_steps(g):
         script.extend(step.moves)
-    return tuple(script)
+    return _verify_generated(g, tuple(script))

@@ -112,7 +112,9 @@ def _relocate(adj: Adj, out: list, uv: tuple[int, int], xy: tuple[int, int]) -> 
 def _move_shared(adj: Adj, out: list, uv: tuple[int, int], x: int, y: int) -> None:
     # x is an endpoint of uv; walk the edge's far end over to y
     v = uv[1] if uv[0] == x else uv[0]
-    tau = adj.bfs_path(y, v, banned=(x, v))
+    adj.remove(x, v)
+    tau = adj.bfs_path(y, v)
+    adj.add(x, v)
     if tau is None:
         raise GraphError(f"no path from {y} to {v} avoiding the moved edge")
     if x not in tau:
@@ -241,8 +243,9 @@ def find_transfer_paths(
     if not _connected_after_move(adj, (u, v), (x, y)):
         raise GraphError(f"moving ({u}, {v}) to ({x}, {y}) would disconnect the graph")
     u2, v2 = _relabel(adj, (u, v), x)
-    path_x = adj.bfs_path(x, u2, banned=(u, v))
-    path_y = adj.bfs_path(y, v2, banned=(u, v))
+    adj.remove(u, v)
+    path_x = adj.bfs_path(x, u2)
+    path_y = adj.bfs_path(y, v2)
     assert path_x is not None and path_y is not None
     return tuple(path_x), tuple(path_y), (u2, v2)
 

@@ -159,3 +159,20 @@ def count_connectivity_checks(monkeypatch) -> list:
     original = Adj.connected
     monkeypatch.setattr(Adj, "connected", lambda self: calls.append(self.n) or original(self))
     return calls
+
+
+def skip_first_relocation(monkeypatch) -> None:
+    """For one test, make the first top-level edge relocation of the
+    engines do nothing, so the relocation engine's plan misses its goal
+    by one edge."""
+    from edgeslide import prescribe
+
+    original = prescribe._relocate
+    skipped = []
+
+    def relocate(adj, out, uv, xy):
+        if skipped:
+            original(adj, out, uv, xy)
+        skipped.append(uv)
+
+    monkeypatch.setattr(prescribe, "_relocate", relocate)

@@ -6,11 +6,13 @@ from edgeslide import (
     complete_graph,
     cycle_graph,
     parse_graph,
+    parse_script,
     path_graph,
     serialize_graph,
     star_graph,
 )
 from edgeslide.cli import run
+from helpers import skip_first_relocation
 
 
 @pytest.fixture
@@ -142,17 +144,54 @@ def test_byte_identical_reruns(files):
     assert open(o1, "rb").read() == open(o2, "rb").read()
 
 
-def _assert_input_error(code, capsys):
+def _assert_one_error_line(code, capsys, expected=2):
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == expected
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_generating_commands_apply_each_move_once(files, monkeypatch):
+    # the one full-check replay that verifies the script applies each
+    # emitted move once; euler-transform also replays the pendants that
+    # build its intermediate graph, one per vertex of the order change
+    from edgeslide import moves
+
+    applied = []
+    original = moves.apply_move_adj
+    monkeypatch.setattr(moves, "apply_move_adj", lambda adj, m: applied.append(m) or original(adj, m))
+    tmp, write = files
+    out = tmp / "s.moves"
+    cases = [
+        (["transform"], path_graph(6), star_graph(6)),
+        (["euler-transform"], cycle_graph(4), cycle_graph(7)),
+        (["euler-transform"], cycle_graph(7), cycle_graph(4)),
+        (["regularize"], star_graph(6), None),
+    ]
+    for command, g, h in cases:
+        argv = command + [write("g.elist", g)] + ([write("h.elist", h)] if h else [])
+        applied.clear()
+        assert run(argv + ["-o", str(out)]) == 0
+        script = parse_script(out.read_text(encoding="ascii"))
+        resize = abs(g.n - h.n) if h else 0
+        assert len(script) > resize
+        assert len(applied) == len(script) + resize
+
+
+@pytest.mark.parametrize("command", ["transform", "euler-transform"])
+def test_plan_that_does_not_verify_exits_one(files, monkeypatch, capsys, command):
+    tmp, write = files
+    skip_first_relocation(monkeypatch)
+    out = tmp / "s.moves"
+    code = run([command, write("a.elist", path_graph(5)), write("b.elist", star_graph(5)), "-o", str(out)])
+    _assert_one_error_line(code, capsys, expected=1)
+    assert not out.exists()
 
 
 def test_non_ascii_byte_exits_two(tmp_path, capsys):
     p = tmp_path / "a.elist"
     p.write_bytes(b"# caf\xc3\xa9\np 2 1\ne 0 1\n")
-    _assert_input_error(run(["stats", str(p)]), capsys)
+    _assert_one_error_line(run(["stats", str(p)]), capsys)
 
 
 @pytest.mark.parametrize("kind", ["elist", "moves", "bijection"])
@@ -171,7 +210,7 @@ def test_underscore_integer_exits_two(files, capsys, kind):
         lines = [f"m {i} {10 - i}" for i in range(10)] + ["m 1_0 0"]
         bad.write_text("\n".join(lines) + "\n", encoding="ascii")
         argv = ["transform", a, b, "--bijection", str(bad)]
-    _assert_input_error(run(argv), capsys)
+    _assert_one_error_line(run(argv), capsys)
 
 
 def test_bijection_source_out_of_range_exits_two(files, capsys):
@@ -179,4 +218,4 @@ def test_bijection_source_out_of_range_exits_two(files, capsys):
     a = write("a.elist", path_graph(3))
     m = tmp / "m.txt"
     m.write_text("m 0 2\nm 1 1\nm 2 0\nm 9 9\n", encoding="ascii")
-    _assert_input_error(run(["transform", a, a, "--bijection", str(m)]), capsys)
+    _assert_one_error_line(run(["transform", a, a, "--bijection", str(m)]), capsys)

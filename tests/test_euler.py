@@ -7,6 +7,7 @@ from edgeslide import (
     AddPendant,
     Graph,
     GraphError,
+    MoveError,
     RemoveLeaf,
     Slide,
     Subdivide,
@@ -23,7 +24,7 @@ from edgeslide import (
     stats,
     transform_euler,
 )
-from helpers import nx_graph, random_connected_graph
+from helpers import nx_graph, random_connected_graph, skip_first_relocation
 
 
 def test_expand_noop():
@@ -157,6 +158,21 @@ def test_transform_euler_differential_random_pairs():
     script, psi = transform_euler(g, h)
     assert is_isomorphic_under(replay(g, script, check="full"), h, psi)
     assert len(script) <= 2000
+
+
+@pytest.mark.parametrize(
+    "resize",
+    [
+        lambda: transform_euler(cycle_graph(3), cycle_graph(6)),
+        lambda: transform_euler(cycle_graph(6), cycle_graph(3)),
+        lambda: collapse_to_order(cycle_graph(6), 4),
+    ],
+    ids=["grow", "shrink", "collapse"],
+)
+def test_resize_that_does_not_verify_raises_move_error(monkeypatch, resize):
+    skip_first_relocation(monkeypatch)
+    with pytest.raises(MoveError):
+        resize()
 
 
 def test_transform_euler_rejects_chi_mismatch():

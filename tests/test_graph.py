@@ -108,6 +108,12 @@ def test_shortest_path_forbidden_edge():
     assert shortest_path(cycle_graph(4), 0, 1, forbidden=(0, 1)) == (0, 3, 2, 1)
 
 
+def test_shortest_path_ignores_a_forbidden_pair_that_is_not_an_edge():
+    g = cycle_graph(5)
+    for pair in ((0, 2), (4, 9), (-1, 0), (3, 3)):
+        assert shortest_path(g, 4, 0, forbidden=pair) == (4, 0)
+
+
 def test_shortest_path_unreachable():
     g = Graph(4, [(0, 1), (2, 3)])
     assert shortest_path(g, 0, 3) is None

@@ -8,6 +8,7 @@ import pytest
 from edgeslide import (
     Graph,
     GraphError,
+    MoveError,
     Slide,
     complete_graph,
     cycle_graph,
@@ -23,7 +24,7 @@ from edgeslide import (
     transform,
     transform_peel,
 )
-from helpers import count_connectivity_checks, nx_graph, random_connected_graph
+from helpers import count_connectivity_checks, nx_graph, random_connected_graph, skip_first_relocation
 
 
 # --- raise_degree_in_tree ------------------------------------------------------
@@ -129,8 +130,10 @@ def test_transform_peel_depth_does_not_grow_with_levels():
 
 
 def test_transform_peel_checks_connectivity_only_on_its_inputs(monkeypatch):
-    # every degree-reducing move is legal by construction, so the only
-    # whole-graph connectivity tests are the two input checks
+    # every degree-reducing move is legal by construction, so the engine
+    # makes no whole-graph connectivity test: the four per pair are the
+    # two input checks and the start and end checks of the one
+    # full-check replay that verifies the plan
     rng = random.Random(30)
     pairs = []
     for n in list(range(5, 31)) + [5, 6, 7, 8]:
@@ -139,7 +142,29 @@ def test_transform_peel_checks_connectivity_only_on_its_inputs(monkeypatch):
     calls = count_connectivity_checks(monkeypatch)
     for g, h, psi in pairs:
         transform_peel(g, h, psi)
-    assert len(calls) == 2 * len(pairs)
+    assert len(calls) == 4 * len(pairs)
+
+
+def test_plan_that_does_not_verify_raises_move_error(monkeypatch):
+    skip_first_relocation(monkeypatch)
+    with pytest.raises(MoveError, match="does not verify against the goal"):
+        transform(path_graph(5), star_graph(5), identity_bijection(5))
+
+
+def test_peel_plan_that_does_not_verify_raises_move_error(monkeypatch):
+    # peel retries a skipped relocation, so cut the plan's last move
+    # instead: every move left is legal, and the result misses the goal
+    import edgeslide.prescribe as module
+
+    original = module._peel
+
+    def peel_without_last_move(*args):
+        script, traces = original(*args)
+        return script[:-1], traces
+
+    monkeypatch.setattr(module, "_peel", peel_without_last_move)
+    with pytest.raises(MoveError, match="does not verify against the goal"):
+        transform_peel(path_graph(5), star_graph(5), identity_bijection(5))
 
 
 def test_transform_rejects_count_mismatch():

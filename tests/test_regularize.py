@@ -1,10 +1,13 @@
+import importlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from edgeslide import (
     Graph,
     GraphError,
+    MoveError,
     almost_regular_target,
     cycle_graph,
     is_connected,
@@ -79,6 +82,21 @@ def test_regularize_star5():
 def test_regularize_rejects_disconnected():
     with pytest.raises(GraphError):
         regularize(Graph(4, [(0, 1), (2, 3)]))
+
+
+def test_regularize_raises_move_error_on_an_illegal_move(monkeypatch):
+    # the package's name ``regularize`` is the function, not the module
+    module = importlib.import_module("edgeslide.regularize")
+    original = module.regularize_steps
+
+    def repeat_first_move(g):
+        # a slide applied twice in a row finds its edge gone the second time
+        first, *rest = original(g)
+        return (replace(first, moves=first.moves[:1] + first.moves), *rest)
+
+    monkeypatch.setattr(module, "regularize_steps", repeat_first_move)
+    with pytest.raises(MoveError):
+        regularize(star_graph(6))
 
 
 def test_regularize_step_energy_law():
