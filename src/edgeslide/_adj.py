@@ -1,7 +1,12 @@
 """Mutable neighbor-set scratchpad used by the algorithm internals.
 
-Not part of the public API.  All traversals visit neighbors in ascending
-id order so that every derived script is reproducible.
+Not part of the public API.  ``bfs_path`` and ``bfs_tree`` visit
+neighbors in ascending id order, because the path and the tree they
+return become slides, so that order fixes the bytes of every script.
+The other traversals visit in set order: ``layers`` (and ``distances``,
+built on it), ``components`` and ``connected`` hand back only hop
+counts, whole layers, sorted components or a yes/no, so the order in
+which they reach vertices inside a layer never reaches an output.
 """
 from __future__ import annotations
 
@@ -118,19 +123,33 @@ class Adj:
                     queue.append(v)
         return Adj(self.n, tree) if count == self.n else None
 
-    def distances(self, source: int) -> list[int]:
-        """Hop count from source, -1 where unreachable.  A caller that
-        needs distances avoiding an edge removes it first and adds it
-        back after."""
-        dist = [-1] * self.n
+    def layers(self, source: int, dist: list[int]):
+        """Yield the BFS layers around source as lists, nearest first,
+        writing each reached vertex's hop count into dist, where -1 marks
+        a vertex not yet seen.  Each layer is built only when asked for,
+        so a caller that stops early pays only for the layers it took.
+        A caller that needs layers avoiding an edge removes it first and
+        adds it back after."""
+        nbrs = self.nbrs
         dist[source] = 0
-        queue = [source]
-        for u in queue:
-            step = dist[u] + 1
-            for v in self.nbrs[u]:
-                if dist[v] < 0:
-                    dist[v] = step
-                    queue.append(v)
+        layer = [source]
+        step = 0
+        while layer:
+            yield layer
+            step += 1
+            nxt = []
+            for u in layer:
+                for v in nbrs[u]:
+                    if dist[v] < 0:
+                        dist[v] = step
+                        nxt.append(v)
+            layer = nxt
+
+    def distances(self, source: int) -> list[int]:
+        """Hop count from source, -1 where unreachable."""
+        dist = [-1] * self.n
+        for _ in self.layers(source, dist):
+            pass
         return dist
 
     def components(self, skip: int | None = None) -> list[list[int]]:

@@ -14,6 +14,7 @@ valid certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -181,7 +182,9 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="edgeslide", description="certified edge-slide transformations of graphs"
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ._adj import Adj
-from .graph import Graph, GraphError, ParseError, _parse_ints, is_isomorphic_under
+from .graph import Graph, GraphError, ParseError, _parse_ints, check_bijection
 
 __all__ = [
     "Slide",
@@ -195,6 +195,11 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
     whose pairs fail the local check gets the whole-state check at once,
     so it is rejected at its own index with that check's message.
     """
+    return _replay_adj(g, script, check).to_graph()
+
+
+def _replay_adj(g: Graph, script: Sequence[Move], check: str) -> Adj:
+    """:func:`replay`, returning the final state as an ``Adj``."""
     if check not in ("fast", "full"):
         raise ValueError(f"check must be 'fast' or 'full', got {check!r}")
     full = check == "full"
@@ -211,7 +216,7 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
             _check_state(adj, chi0, i)
     if full and script:
         _check_state(adj, chi0, len(script) - 1)
-    return adj.to_graph()
+    return adj
 
 
 def _verify_generated(
@@ -224,11 +229,17 @@ def _verify_generated(
     ``transform_peel``, ``transform_euler``, ``collapse_to_order`` and
     ``regularize`` each run it once on the script they return.  A
     rejected move raises its replay ``MoveError``; a result that misses
-    the goal raises ``MoveError`` too.
+    the goal raises ``MoveError`` too.  The result is compared with the
+    goal as adjacency sets under psi, without building its ``Graph``.
     """
-    final = replay(g, script, check="full")
-    if goal is not None and (final.n != goal.n or not is_isomorphic_under(final, goal, psi)):
-        raise MoveError("generated script does not verify against the goal graph")
+    final = _replay_adj(g, script, "full")
+    if goal is not None:
+        psi = check_bijection(psi, goal.n)
+        want = goal.neighbor_sets()
+        if final.n != goal.n or any(
+            {psi[w] for w in nbrs} != want[psi[u]] for u, nbrs in enumerate(final.nbrs)
+        ):
+            raise MoveError("generated script does not verify against the goal graph")
     return script
 
 

@@ -13,7 +13,10 @@ in sorted order, onto the pair xy of T still missing that minimises
 min(d_u(x) + d_v(y), d_u(y) + d_v(x)), with d_u and d_v the distances
 in G - uv, using the single-edge relocation of :mod:`edgeslide.slides`.
 That relocation carries both ends of the edge, one step per slide, so
-the sum predicts its cost.  A legal pair always
+the sum predicts its cost.  The pricing grows BFS balls around u and v
+one layer at a time and stops at the first radius r whose cheapest pair
+costs at most r: every pair costing at most r is then scored exactly, so
+the choice, ties included, is the whole-graph minimum.  A legal pair always
 exists: when the edge is not a bridge any missing pair keeps the graph
 connected; when it is, the connected goal has a T-edge across the cut,
 and that edge is missing because the bridge was the only crossing edge.
@@ -327,29 +330,61 @@ def _relocation_script(g: Graph, h: Graph, psi: Sequence[int]) -> MoveScript:
     """The slides of :func:`transform`, unverified.  The Euler resizing
     verifies them as part of its whole script."""
     psi, adj, _ = _check_pair(g, h, psi)
-    n = adj.n
     inv = inverse_bijection(psi)
     target = {(min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in h.edges}
-    missing = sorted(target.difference(g.edges))
+    partners: list[set[int]] = [set() for _ in range(adj.n)]
+    for x, y in target.difference(g.edges):
+        partners[x].add(y)
+        partners[y].add(x)
     out: list = []
     # relocating uv onto a missing pair changes exactly those two edges,
     # so the surplus edges can be fixed in one sorted pass
     for u, v in sorted(set(g.edges) - target):
-        adj.remove(u, v)
-        du = adj.distances(u)
-        dv = adj.distances(v)
-        adj.add(u, v)
-        bridge = du[v] < 0
-        if bridge:
-            du = [d if d >= 0 else n for d in du]
-            dv = [d if d >= 0 else n for d in dv]
-        _, x, y = min(
-            (min(du[x] + dv[y], du[y] + dv[x]), x, y)
-            for x, y in missing
-            if not bridge or (du[x] == n) != (du[y] == n)
-        )
+        x, y = _cheapest_pair(adj, partners, u, v)
         # legal by the module docstring's argument: any missing pair when
         # uv is not a bridge, a pair across its cut when it is
         _relocate(adj, out, (u, v), (x, y))
-        missing.remove((x, y))
+        partners[x].discard(y)
+        partners[y].discard(x)
     return tuple(out)
+
+
+def _cheapest_pair(adj: Adj, partners: list[set[int]], u: int, v: int) -> tuple[int, int]:
+    """The missing pair (x, y), x < y, that :func:`transform` moves uv
+    onto: least (min(d_u(x) + d_v(y), d_u(y) + d_v(x)), x, y) in G - uv,
+    where ``partners[w]`` holds w's missing goal partners.
+
+    Round r takes layer r of u's BFS ball, then layer r of v's.  A pair
+    is scored in each orientation as soon as one end lies in u's ball
+    and the other in v's.  After round r every pair costing at most r is
+    scored exactly, so the search stops at the first r whose best cost
+    is at most r.  A pair whose ends never lie in opposite balls stays
+    unscored: when uv is a bridge those are the pairs off its cut, which
+    would leave G disconnected.
+    """
+    du = [-1] * adj.n
+    dv = [-1] * adj.n
+    adj.remove(u, v)
+    balls = ((adj.layers(u, du), dv), (adj.layers(v, dv), du))
+    best = (adj.n * 2, -1, -1)
+    r = 0
+    while True:
+        grew = False
+        for ball, other in balls:
+            layer = next(ball, None)
+            if layer is None:
+                continue
+            grew = True
+            for a in layer:
+                for b in partners[a]:
+                    d = other[b]
+                    if 0 <= d and r + d <= best[0]:
+                        key = (r + d, a, b) if a < b else (r + d, b, a)
+                        if key < best:
+                            best = key
+        if best[0] <= r or not grew:
+            break
+        r += 1
+    adj.add(u, v)
+    assert best[1] >= 0, "a connected goal always leaves a legal missing pair"
+    return best[1], best[2]

@@ -77,16 +77,22 @@ def _connected_after_move(adj: Adj, uv: tuple[int, int], xy: tuple[int, int]) ->
 
 def _relabel(adj: Adj, uv: tuple[int, int], x: int) -> tuple[int, int]:
     # Orient the edge so its first endpoint is the one BFS-nearest to x
-    # (ties keep the given order).  This choice is what makes both
-    # sub-moves of the Case-3 split below satisfy their own
-    # connectivity preconditions.
+    # in G - uv (ties keep the given order; an end x cannot reach is the
+    # farthest), so the BFS stops at the first layer holding u or v.
+    # This choice is what makes both sub-moves of the Case-3 split below
+    # satisfy their own connectivity preconditions.
     u, v = uv
     adj.remove(u, v)
-    dist = adj.distances(x)
+    dist = [-1] * adj.n
+    out = (v, u)
+    for _ in adj.layers(x, dist):
+        if dist[u] >= 0:
+            out = (u, v)
+            break
+        if dist[v] >= 0:
+            break
     adj.add(u, v)
-    if dist[u] < 0 or 0 <= dist[v] < dist[u]:
-        return (v, u)
-    return (u, v)
+    return out
 
 
 def _relocate(adj: Adj, out: list, uv: tuple[int, int], xy: tuple[int, int]) -> None:

@@ -176,3 +176,27 @@ def skip_first_relocation(monkeypatch) -> None:
         skipped.append(uv)
 
     monkeypatch.setattr(prescribe, "_relocate", relocate)
+
+
+def cheapest_pair_reference(adj, partners, u, v):
+    """The whole-graph pricing rule of ``transform``, for differential
+    tests of ``prescribe._cheapest_pair``: two full BFS distance arrays in
+    G - uv, an unreachable vertex counted as n, only pairs across the cut
+    when uv is a bridge, and the least (cost, x, y) over the sorted
+    missing pairs."""
+    n = adj.n
+    missing = sorted((x, y) for x in range(n) for y in partners[x] if x < y)
+    adj.remove(u, v)
+    du = adj.distances(u)
+    dv = adj.distances(v)
+    adj.add(u, v)
+    bridge = du[v] < 0
+    if bridge:
+        du = [d if d >= 0 else n for d in du]
+        dv = [d if d >= 0 else n for d in dv]
+    _, x, y = min(
+        (min(du[x] + dv[y], du[y] + dv[x]), x, y)
+        for x, y in missing
+        if not bridge or (du[x] == n) != (du[y] == n)
+    )
+    return x, y

@@ -219,3 +219,22 @@ def test_bijection_source_out_of_range_exits_two(files, capsys):
     m = tmp / "m.txt"
     m.write_text("m 0 2\nm 1 1\nm 2 0\nm 9 9\n", encoding="ascii")
     _assert_one_error_line(run(["transform", a, a, "--bijection", str(m)]), capsys)
+
+
+def test_parser_is_built_once_and_survives_an_argparse_error(files, capsys):
+    from edgeslide import cli
+
+    tmp, write = files
+    argv = ["transform", write("a.elist", path_graph(5)), write("b.elist", star_graph(5))]
+    assert cli._build_parser() is cli._build_parser()
+    assert run(argv[:2]) == 2
+    error = capsys.readouterr().err
+    assert error.startswith("usage: edgeslide transform")
+    assert run(argv) == 0
+    after_error = capsys.readouterr()
+    assert run(argv[:2]) == 2
+    assert capsys.readouterr().err == error
+    cli._build_parser.cache_clear()
+    assert run(argv) == 0
+    assert capsys.readouterr() == after_error
+    assert after_error.out and not after_error.err

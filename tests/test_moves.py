@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from edgeslide import (
     AddPendant,
+    Graph,
     MoveError,
     ParseError,
     RemoveLeaf,
@@ -184,3 +185,26 @@ def test_parse_script_bad_tag():
 def test_parse_script_bad_arity():
     with pytest.raises(ParseError):
         parse_script("S 0 1\n")
+
+
+def test_verify_generated_rejects_a_goal_missed_under_psi():
+    from edgeslide.moves import _verify_generated
+
+    g = path_graph(4)
+    script = (Slide(0, 1, 2),)
+    goal = replay(g, script)
+    assert _verify_generated(g, script, goal, (0, 1, 2, 3)) == script
+    # the reversal maps the path 1-2-3 plus 0-2 onto 2-1-0 plus 3-1
+    reversal = (3, 2, 1, 0)
+    assert _verify_generated(g, script, Graph(4, [(0, 1), (1, 2), (1, 3)]), reversal) == script
+    with pytest.raises(MoveError, match="does not verify against the goal"):
+        _verify_generated(g, script, goal, reversal)
+
+
+def test_verify_generated_rejects_a_result_of_the_wrong_order():
+    from edgeslide.moves import _verify_generated
+
+    g = path_graph(4)
+    script = (AddPendant(3, 4),)
+    with pytest.raises(MoveError, match="does not verify against the goal"):
+        _verify_generated(g, script, g, (0, 1, 2, 3))

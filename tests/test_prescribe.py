@@ -24,7 +24,13 @@ from edgeslide import (
     transform,
     transform_peel,
 )
-from helpers import count_connectivity_checks, nx_graph, random_connected_graph, skip_first_relocation
+from helpers import (
+    cheapest_pair_reference,
+    count_connectivity_checks,
+    nx_graph,
+    random_connected_graph,
+    skip_first_relocation,
+)
 
 
 # --- raise_degree_in_tree ------------------------------------------------------
@@ -235,3 +241,76 @@ def test_transform_differential_random_pairs():
         final = replay(g, plan.script, check="full")
         assert is_isomorphic_under(final, h, psi)
         assert nx.is_isomorphic(nx_graph(final), nx_graph(h))
+
+
+# --- transform's pricing ------------------------------------------------------------
+
+
+def test_cheapest_pair_matches_the_whole_graph_rule(monkeypatch):
+    # every pricing decision of the ball search equals the rule run on two
+    # whole-graph distance arrays, ties and bridges included, and the
+    # search hands the graph back unchanged
+    import edgeslide.prescribe as module
+
+    original = module._cheapest_pair
+    decisions = []
+
+    def checked(adj, partners, u, v):
+        before = [set(s) for s in adj.nbrs]
+        got = original(adj, partners, u, v)
+        assert adj.nbrs == before
+        assert got == cheapest_pair_reference(adj, partners, u, v)
+        decisions.append(got)
+        return got
+
+    monkeypatch.setattr(module, "_cheapest_pair", checked)
+    rng = random.Random(5150)
+    for i in range(40):
+        n = rng.randint(7, 60)
+        top = n * (n - 1) // 2
+        e = (n - 1, n, 2 * n, rng.randint(top // 2, top))[i % 4]
+        g = random_connected_graph(n, e, rng)
+        h = random_connected_graph(n, e, rng)
+        psi = tuple(rng.sample(range(n), n))
+        transform(g, h, psi)
+    assert len(decisions) > 1000
+
+
+def test_pricing_of_a_near_pair_stays_local(monkeypatch):
+    # a goal three slides away leaves each missing pair next to a surplus
+    # edge, so the pricing's two BFS balls stop after a few layers; a
+    # whole-graph pricing reaches 2n vertices per relocated edge
+    import edgeslide.prescribe as module
+    from edgeslide._adj import Adj
+
+    rng = random.Random(400)
+    n = 400
+    g = random_connected_graph(n, 2 * n, rng)
+    adj = Adj.from_graph(g)
+    done = 0
+    while done < 3:
+        x = rng.randrange(n)
+        y = rng.choice(sorted(adj.nbrs[x]))
+        z = rng.choice(sorted(adj.nbrs[y]))
+        if z != x and not adj.has(x, z):
+            adj.slide(x, y, z)
+            done += 1
+    psi = tuple(rng.sample(range(n), n))
+    h = Graph(n, [(psi[a], psi[b]) for a, b in adj.sorted_edges()])
+
+    reached = []
+    layers, price = Adj.layers, module._cheapest_pair
+
+    def counted_layers(self, source, dist):
+        for layer in layers(self, source, dist):
+            reached[-1] += len(layer)
+            yield layer
+
+    def counted_price(*args):
+        reached.append(0)
+        return price(*args)
+
+    monkeypatch.setattr(Adj, "layers", counted_layers)
+    monkeypatch.setattr(module, "_cheapest_pair", counted_price)
+    transform(g, h, psi)
+    assert reached and max(reached) < n
