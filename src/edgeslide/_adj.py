@@ -1,16 +1,20 @@
 """Mutable neighbor-set scratchpad used by the algorithm internals.
 
-Not part of the public API.  ``bfs_path`` and ``bfs_tree`` visit
-neighbors in ascending id order, because the path and the tree they
-return become slides, so that order fixes the bytes of every script.
-The other traversals visit in set order: ``layers`` (and ``distances``,
-built on it), ``components`` and ``connected`` hand back only hop
-counts, whole layers, sorted components or a yes/no, so the order in
-which they reach vertices inside a layer never reaches an output.
+Not part of the public API.  Three loops walk neighbors:
+
+- ``_parents``, a BFS in ascending id order, under ``bfs_path`` and
+  ``bfs_tree``.  Their paths and trees become slides, so this order
+  fixes the bytes of every script; no other kernel is ordered.
+- ``layers``, a lazy BFS in set order, under ``distances``, the
+  transform's pricing and a relocation's relabeling, which read only
+  whole layers and hop counts.
+- ``_reach``, a list that grows while it is walked, under
+  ``components`` (each sorted) and ``connected``.  ``connected`` does
+  not run on ``layers``: at n = 6 a check over the generator took 1.5
+  to 2 times as long as this loop, and a tiny transform calls
+  ``connected`` several times.
 """
 from __future__ import annotations
-
-from collections import deque
 
 
 class Adj:
@@ -81,47 +85,49 @@ class Adj:
 
         return Graph(self.n, self.sorted_edges())
 
+    def _parents(self, root: int, stop: int = -1) -> list[int]:
+        """BFS parent of each vertex, neighbors taken in ascending id
+        order: -1 at root, -2 where not reached.  Returns as soon as
+        `stop` gets its parent."""
+        nbrs = self.nbrs
+        parent = [-2] * self.n
+        parent[root] = -1
+        queue = [root]
+        for u in queue:
+            for v in sorted(nbrs[u]):
+                if parent[v] == -2:
+                    parent[v] = u
+                    if v == stop:
+                        return parent
+                    queue.append(v)
+        return parent
+
     def bfs_path(self, a: int, b: int):
         """Shortest path a -> b, or None.  A caller that needs a path
         avoiding an edge removes it first and adds it back after."""
         if a == b:
             return [a]
-        parent = [-2] * self.n
-        parent[a] = -1
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(self.nbrs[u]):
-                if parent[v] != -2:
-                    continue
-                parent[v] = u
-                if v == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(v)
-        return None
+        parent = self._parents(a, b)
+        if parent[b] == -2:
+            return None
+        path = [b]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return path
 
     def bfs_tree(self, root: int) -> "Adj | None":
         """BFS spanning tree from root, or None when the graph is not
         connected."""
+        parent = self._parents(root)
+        if -2 in parent:
+            return None
         tree: list[set[int]] = [set() for _ in range(self.n)]
-        seen = [False] * self.n
-        seen[root] = True
-        count = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(self.nbrs[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    tree[u].add(v)
-                    tree[v].add(u)
-                    queue.append(v)
-        return Adj(self.n, tree) if count == self.n else None
+        for v, u in enumerate(parent):
+            if u >= 0:
+                tree[u].add(v)
+                tree[v].add(u)
+        return Adj(self.n, tree)
 
     def layers(self, source: int, dist: list[int]):
         """Yield the BFS layers around source as lists, nearest first,
@@ -152,41 +158,23 @@ class Adj:
             pass
         return dist
 
-    def components(self, skip: int | None = None) -> list[list[int]]:
-        """Connected components (excluding `skip`), ordered by smallest id."""
-        seen = [False] * self.n
-        if skip is not None:
-            seen[skip] = True
-        out = []
-        for seed in range(self.n):
-            if seen[seed]:
-                continue
-            seen[seed] = True
-            comp = [seed]
-            stack = [seed]
-            while stack:
-                u = stack.pop()
-                for v in self.nbrs[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        stack.append(v)
-            comp.sort()
-            out.append(comp)
-        return out
-
-    def connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        count = 1
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.nbrs[u]:
+    def _reach(self, seed: int, seen: list[bool]) -> list[int]:
+        """Vertices joined to seed that seen does not mark yet, seed
+        first, marking them: a list that grows while it is walked."""
+        nbrs = self.nbrs
+        seen[seed] = True
+        out = [seed]
+        for u in out:
+            for v in nbrs[u]:
                 if not seen[v]:
                     seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == self.n
+                    out.append(v)
+        return out
+
+    def components(self, skip: int | None = None) -> list[list[int]]:
+        """Connected components (excluding `skip`), ordered by smallest id."""
+        seen = [v == skip for v in range(self.n)]
+        return [sorted(self._reach(seed, seen)) for seed in range(self.n) if not seen[seed]]
+
+    def connected(self) -> bool:
+        return self.n <= 1 or len(self._reach(0, [False] * self.n)) == self.n

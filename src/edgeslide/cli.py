@@ -141,7 +141,7 @@ def _cmd_verify(args) -> int:
         return _rejected("verification failed", args.script, lines, err)
     if args.expect is not None:
         goal = _load_graph(args.expect)
-        psi = _load_bijection(args.bijection, final.n)
+        psi = _load_bijection(args.bijection, goal.n)
         if final.n != goal.n or not is_isomorphic_under(final, goal, psi):
             print("verification failed: replayed graph does not match the expected one", file=sys.stderr)
             return 1

@@ -288,12 +288,21 @@ def is_isomorphic_under(g: Graph, h: Graph, psi: Sequence[int]) -> bool:
     """
     if g.n != h.n:
         raise GraphError(f"vertex count mismatch: {g.n} != {h.n}")
-    psi = check_bijection(psi, g.n)
-    if g.e != h.e:
+    return _maps_onto(g.neighbor_sets(), h, check_bijection(psi, g.n))
+
+
+def _maps_onto(nbrs: Sequence[Iterable[int]], goal: Graph, psi: Sequence[int]) -> bool:
+    """True iff the bijection psi carries the graph with neighbor sets
+    nbrs onto goal: equal orders and edge counts, and every adjacency
+    lands on an adjacency, so no goal edge is left over."""
+    if len(nbrs) != goal.n or sum(map(len, nbrs)) != 2 * goal.e:
         return False
-    for u, v in g.edges:
-        if not h.adjacent(psi[u], psi[v]):
-            return False
+    want = goal.neighbor_sets()
+    for u, s in enumerate(nbrs):
+        w = want[psi[u]]
+        for v in s:
+            if psi[v] not in w:
+                return False
     return True
 
 

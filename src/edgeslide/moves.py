@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ._adj import Adj
-from .graph import Graph, GraphError, ParseError, _parse_ints, check_bijection
+from .graph import Graph, GraphError, ParseError, _maps_onto, _parse_ints, check_bijection
 
 __all__ = [
     "Slide",
@@ -229,17 +229,12 @@ def _verify_generated(
     ``transform_peel``, ``transform_euler``, ``collapse_to_order`` and
     ``regularize`` each run it once on the script they return.  A
     rejected move raises its replay ``MoveError``; a result that misses
-    the goal raises ``MoveError`` too.  The result is compared with the
-    goal as adjacency sets under psi, without building its ``Graph``.
+    the goal raises ``MoveError`` too.  The goal check is the one behind
+    ``is_isomorphic_under``, run on the replayed neighbor sets in place.
     """
     final = _replay_adj(g, script, "full")
-    if goal is not None:
-        psi = check_bijection(psi, goal.n)
-        want = goal.neighbor_sets()
-        if final.n != goal.n or any(
-            {psi[w] for w in nbrs} != want[psi[u]] for u, nbrs in enumerate(final.nbrs)
-        ):
-            raise MoveError("generated script does not verify against the goal graph")
+    if goal is not None and not _maps_onto(final.nbrs, goal, check_bijection(psi, goal.n)):
+        raise MoveError("generated script does not verify against the goal graph")
     return script
 
 

@@ -236,9 +236,7 @@ def _peel(gG: Adj, gS: Adj, psi: list[int]) -> tuple[MoveScript, list[LevelTrace
     suffixes: list = []
     while gG.n > 1:
         n = gG.n
-        psi_inv = [0] * n
-        for i, t in enumerate(psi):
-            psi_inv[t] = i
+        psi_inv = inverse_bijection(psi)
         y_star = min(range(n), key=lambda v: (gS.degree(v), v))
         d1 = gS.degree(y_star)
         x_star = psi_inv[y_star]

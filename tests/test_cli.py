@@ -238,3 +238,16 @@ def test_parser_is_built_once_and_survives_an_argparse_error(files, capsys):
     assert run(argv) == 0
     assert capsys.readouterr() == after_error
     assert after_error.out and not after_error.err
+
+
+def test_verify_bijection_for_a_goal_of_another_order_exits_one(files, capsys):
+    # the bijection is read against the goal's order, so a script that
+    # ends one vertex larger is a mismatch, not a bad bijection file
+    tmp, write = files
+    p3 = write("p3.elist", path_graph(3))
+    s = tmp / "s.moves"
+    s.write_text("AP 0 3\n", encoding="ascii")
+    m = tmp / "m.txt"
+    m.write_text("m 0 0\nm 1 1\nm 2 2\n", encoding="ascii")
+    assert run(["verify", p3, str(s), "--expect", p3, "--bijection", str(m)]) == 1
+    assert "replayed graph does not match the expected one" in capsys.readouterr().err
