@@ -46,7 +46,7 @@ class Adj:
         self.nbrs[v].discard(u)
 
     def slide(self, x: int, y: int, z: int) -> None:
-        # {x,y} -> {x,z}, preconditions already checked by the caller
+        # {x,y} -> {x,z}; moves.apply_move_adj checks the preconditions
         nx = self.nbrs[x]
         nx.discard(y)
         self.nbrs[y].discard(x)

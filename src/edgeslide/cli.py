@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 import tempfile
 
@@ -24,15 +25,15 @@ from .graph import (
     Graph,
     GraphError,
     ParseError,
+    _maps_onto,
     _parse_ints,
     check_bijection,
     identity_bijection,
-    is_isomorphic_under,
     parse_graph,
     serialize_graph,
     stats,
 )
-from .moves import MoveError, parse_script_lines, replay, serialize_script
+from .moves import MoveError, _replay_adj, parse_script_lines, replay, serialize_script
 from .oracle import format_census_table, reachability_census
 from .prescribe import transform
 from .regularize import regularize
@@ -49,9 +50,19 @@ def _read(path: str) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file renamed over path.  The file gets
+    the mode a plain open() would give it: an existing target keeps its
+    mode, and a new one gets 0o666 less the umask."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".edgeslide-")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -133,16 +144,18 @@ def _rejected(what: str, path: str, lines, err: MoveError) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.bijection is not None and args.expect is None:
+        raise GraphError("--bijection needs --expect")
     g = _load_graph(args.source)
     script, lines = parse_script_lines(_read(args.script))
     try:
-        final = replay(g, script, check="full")
+        final = _replay_adj(g, script, "full")
     except MoveError as err:
         return _rejected("verification failed", args.script, lines, err)
     if args.expect is not None:
         goal = _load_graph(args.expect)
         psi = _load_bijection(args.bijection, goal.n)
-        if final.n != goal.n or not is_isomorphic_under(final, goal, psi):
+        if not _maps_onto(final.nbrs, goal, psi):
             print("verification failed: replayed graph does not match the expected one", file=sys.stderr)
             return 1
     print(f"OK: {len(script)} moves verified")
@@ -166,7 +179,7 @@ def _cmd_oracle(args) -> int:
         pairs = [(n, args.e)]
     else:
         pairs = [(n, e) for e in range(n - 1, n * (n - 1) // 2 + 1)]
-    reports = [reachability_census(a, b, cap=args.cap) for a, b in pairs]
+    reports = [reachability_census(a, b) for a, b in pairs]
     sys.stdout.write(format_census_table(reports))
     return 0
 
@@ -225,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="slide-reachability census over small graphs")
     p.add_argument("n", type=int)
     p.add_argument("e", type=int, nargs="?", default=None)
-    p.add_argument("--cap", type=int, default=5)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("stats", help="print degree, energy, and curvature statistics")

@@ -12,13 +12,20 @@ Five move kinds:
 Vertex removals renumber: ids above the removed vertex shift down by one,
 and later moves in a script use the renumbered ids.
 
-The ``.moves`` text format has one move per line (``#`` comments allowed)::
+:func:`apply_move_adj` is where each kind is defined: its precondition
+and rejection message, its effect, and the pairs it wrote, which the
+full-check replay reads.  Replay, verification and the engines' slides
+all apply moves through it.
+
+The ``.moves`` text format has one move per line (``#`` comments allowed),
+the tag from ``_TAGS`` and then the fields in declared order::
 
     S x y z | AP x y | SD x z y | RL y x | SM y x z
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence, Union
 
 from ._adj import Adj
@@ -96,76 +103,76 @@ def _in_range(adj: Adj, *vs: int) -> bool:
     return True
 
 
-def check_move(adj: Adj, m: Move) -> str | None:
-    """Return a rejection reason, or None when m applies to the state."""
+def apply_move_adj(adj: Adj, m: Move) -> tuple[tuple[int, int, bool], ...] | None:
+    """Check one move against adj, apply it, and return the pairs it wrote.
+
+    This is the one definition of the move kinds: each kind's branch
+    holds its precondition, with the message that rejects it, its effect
+    on the neighbor sets, and the pairs the full check reads after it.
+    A rejected move raises ``MoveError`` and leaves adj as it was.
+
+    The pairs are ``(a, b, edge)`` triples: each pair the move wrote,
+    and the pair that keeps the ends of a removed edge joined, with
+    whether {a, b} must now be an edge.  A removal renumbers every set,
+    so it returns None, and the full check reads the whole state.
+    """
     if isinstance(m, Slide):
         x, y, z = m.x, m.y, m.z
         if len({x, y, z}) != 3:
-            return f"slide vertices must be distinct, got {m}"
+            raise MoveError(f"slide vertices must be distinct, got {m}")
         if not _in_range(adj, x, y, z):
-            return f"vertex id out of range in {m}"
+            raise MoveError(f"vertex id out of range in {m}")
         if not adj.has(x, y):
-            return f"missing edge ({x}, {y}) for {m}"
+            raise MoveError(f"missing edge ({x}, {y}) for {m}")
         if not adj.has(y, z):
-            return f"missing edge ({y}, {z}) for {m}"
+            raise MoveError(f"missing edge ({y}, {z}) for {m}")
         if adj.has(x, z):
-            return f"vertices {x} and {z} already adjacent in {m}"
-    elif isinstance(m, AddPendant):
+            raise MoveError(f"vertices {x} and {z} already adjacent in {m}")
+        adj.slide(x, y, z)
+        return (x, z, True), (z, y, True), (x, y, False)
+    if isinstance(m, AddPendant):
         if not _in_range(adj, m.x):
-            return f"anchor {m.x} out of range in {m}"
+            raise MoveError(f"anchor {m.x} out of range in {m}")
         if m.y != adj.n:
-            return f"new vertex must be {adj.n}, got {m.y}"
-    elif isinstance(m, Subdivide):
-        if m.x == m.z:
-            return f"subdivide endpoints must differ in {m}"
-        if not _in_range(adj, m.x, m.z):
-            return f"vertex id out of range in {m}"
-        if not adj.has(m.x, m.z):
-            return f"missing edge ({m.x}, {m.z}) for {m}"
-        if m.y != adj.n:
-            return f"new vertex must be {adj.n}, got {m.y}"
-    elif isinstance(m, RemoveLeaf):
-        if not _in_range(adj, m.y, m.x):
-            return f"vertex id out of range in {m}"
-        if adj.degree(m.y) != 1:
-            return f"vertex {m.y} has degree {adj.degree(m.y)}, not a leaf"
-        if not adj.has(m.y, m.x):
-            return f"anchor {m.x} is not the neighbor of leaf {m.y}"
-    elif isinstance(m, Smooth):
-        y, x, z = m.y, m.x, m.z
-        if not _in_range(adj, y, x, z):
-            return f"vertex id out of range in {m}"
-        if adj.degree(y) != 2 or adj.nbrs[y] != {x, z}:
-            return f"vertex {y} must have neighbors exactly {{{x}, {z}}}"
-        if adj.has(x, z):
-            return f"vertices {x} and {z} already adjacent, smoothing would double the edge"
-    else:
-        return f"unknown move {m!r}"
-    return None
-
-
-def apply_move_adj(adj: Adj, m: Move) -> None:
-    """Check and apply one move, mutating adj.  Raises MoveError."""
-    reason = check_move(adj, m)
-    if reason is not None:
-        raise MoveError(reason)
-    if isinstance(m, Slide):
-        adj.slide(m.x, m.y, m.z)
-    elif isinstance(m, AddPendant):
+            raise MoveError(f"new vertex must be {adj.n}, got {m.y}")
         adj.add_vertex()
         adj.add(m.x, m.y)
-    elif isinstance(m, Subdivide):
+        return ((m.x, m.y, True),)
+    if isinstance(m, Subdivide):
+        if m.x == m.z:
+            raise MoveError(f"subdivide endpoints must differ in {m}")
+        if not _in_range(adj, m.x, m.z):
+            raise MoveError(f"vertex id out of range in {m}")
+        if not adj.has(m.x, m.z):
+            raise MoveError(f"missing edge ({m.x}, {m.z}) for {m}")
+        if m.y != adj.n:
+            raise MoveError(f"new vertex must be {adj.n}, got {m.y}")
         adj.add_vertex()
         adj.remove(m.x, m.z)
         adj.add(m.x, m.y)
         adj.add(m.z, m.y)
-    elif isinstance(m, RemoveLeaf):
+        return (m.x, m.y, True), (m.y, m.z, True), (m.x, m.z, False)
+    if isinstance(m, RemoveLeaf):
+        if not _in_range(adj, m.y, m.x):
+            raise MoveError(f"vertex id out of range in {m}")
+        if adj.degree(m.y) != 1:
+            raise MoveError(f"vertex {m.y} has degree {adj.degree(m.y)}, not a leaf")
+        if not adj.has(m.y, m.x):
+            raise MoveError(f"anchor {m.x} is not the neighbor of leaf {m.y}")
         adj.remove_vertex(m.y)
-    else:  # Smooth
-        adj.remove_vertex(m.y)
-        x = m.x if m.x < m.y else m.x - 1
-        z = m.z if m.z < m.y else m.z - 1
-        adj.add(x, z)
+        return None
+    if isinstance(m, Smooth):
+        y, x, z = m.y, m.x, m.z
+        if not _in_range(adj, y, x, z):
+            raise MoveError(f"vertex id out of range in {m}")
+        if adj.degree(y) != 2 or adj.nbrs[y] != {x, z}:
+            raise MoveError(f"vertex {y} must have neighbors exactly {{{x}, {z}}}")
+        if adj.has(x, z):
+            raise MoveError(f"vertices {x} and {z} already adjacent, smoothing would double the edge")
+        adj.remove_vertex(y)
+        adj.add(x if x < y else x - 1, z if z < y else z - 1)
+        return None
+    raise MoveError(f"unknown move {m!r}")
 
 
 def apply_move(g: Graph, m: Move) -> Graph:
@@ -209,10 +216,10 @@ def _replay_adj(g: Graph, script: Sequence[Move], check: str) -> Adj:
         raise GraphError("full replay requires a connected start graph")
     for i, m in enumerate(script):
         try:
-            apply_move_adj(adj, m)
+            wrote = apply_move_adj(adj, m)
         except MoveError as err:
             raise MoveError(str(err), index=i) from None
-        if full and (isinstance(m, (RemoveLeaf, Smooth)) or not _wrote_cleanly(adj, m)):
+        if full and (wrote is None or not _wrote_cleanly(adj.nbrs, wrote)):
             _check_state(adj, chi0, i)
     if full and script:
         _check_state(adj, chi0, len(script) - 1)
@@ -238,16 +245,9 @@ def _verify_generated(
     return script
 
 
-def _wrote_cleanly(adj: Adj, m: Move) -> bool:
-    """Each pair a slide, pendant or subdivision wrote, and the pair that
-    keeps its ends joined, reads the same from both ends, with no loop."""
-    if isinstance(m, Slide):
-        pairs = ((m.x, m.z, True), (m.z, m.y, True), (m.x, m.y, False))
-    elif isinstance(m, AddPendant):
-        pairs = ((m.x, m.y, True),)
-    else:  # Subdivide
-        pairs = ((m.x, m.y, True), (m.y, m.z, True), (m.x, m.z, False))
-    nbrs = adj.nbrs
+def _wrote_cleanly(nbrs: list[set[int]], pairs: tuple[tuple[int, int, bool], ...]) -> bool:
+    """Each pair :func:`apply_move_adj` named reads the same from both
+    ends, an edge or not as it said, with no loop at either end."""
     for a, b, edge in pairs:
         if (b in nbrs[a]) != edge or (a in nbrs[b]) != edge or a in nbrs[a] or b in nbrs[b]:
             return False
@@ -273,7 +273,18 @@ def _check_state(adj: Adj, chi0: int, index: int) -> None:
 # ---------------------------------------------------------------------------
 # .moves text format
 
-_TAGS = {"S": (Slide, 3), "AP": (AddPendant, 2), "SD": (Subdivide, 3), "RL": (RemoveLeaf, 2), "SM": (Smooth, 3)}
+# The one tag table.  A line holds a kind's tag, then its fields in their
+# declared order: ``SD x z y`` for ``Subdivide(x, z, y)``.
+_TAGS = {
+    tag: (cls, len(fields(cls)))
+    for tag, cls in (
+        ("S", Slide), ("AP", AddPendant), ("SD", Subdivide), ("RL", RemoveLeaf), ("SM", Smooth)
+    )
+}
+_LINES = {
+    cls: (tag + " %s" * arity + "\n", attrgetter(*(f.name for f in fields(cls))))
+    for tag, (cls, arity) in _TAGS.items()
+}
 
 
 def parse_script_lines(text: str) -> tuple[MoveScript, tuple[int, ...]]:
@@ -307,16 +318,9 @@ def parse_script(text: str) -> MoveScript:
 def serialize_script(script: Sequence[Move]) -> str:
     lines = []
     for m in script:
-        if isinstance(m, Slide):
-            lines.append(f"S {m.x} {m.y} {m.z}")
-        elif isinstance(m, AddPendant):
-            lines.append(f"AP {m.x} {m.y}")
-        elif isinstance(m, Subdivide):
-            lines.append(f"SD {m.x} {m.z} {m.y}")
-        elif isinstance(m, RemoveLeaf):
-            lines.append(f"RL {m.y} {m.x}")
-        elif isinstance(m, Smooth):
-            lines.append(f"SM {m.y} {m.x} {m.z}")
-        else:
-            raise GraphError(f"cannot serialize {m!r}")
-    return "".join(line + "\n" for line in lines)
+        try:
+            template, values = _LINES[type(m)]
+        except KeyError:
+            raise GraphError(f"cannot serialize {m!r}") from None
+        lines.append(template % values(m))
+    return "".join(lines)

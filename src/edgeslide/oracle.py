@@ -25,12 +25,17 @@ __all__ = [
 
 EdgeKey = tuple[tuple[int, int], ...]
 
+# Largest n each brute force accepts: the universe grows faster than
+# exponentially in n, and a census at n = 6 did not finish in 110 s.
+_ENUMERATION_CAP = 7
+_CENSUS_CAP = 5
 
-def enumerate_connected(n: int, e: int, cap: int = 7) -> list[Graph]:
+
+def enumerate_connected(n: int, e: int) -> list[Graph]:
     """All connected simple labeled graphs with exactly (n, e), in
     lexicographic edge-set order."""
-    if n > cap:
-        raise GraphError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > _ENUMERATION_CAP:
+        raise GraphError(f"n={n} exceeds the enumeration cap {_ENUMERATION_CAP}")
     if n < 1 or e < 0:
         raise GraphError("need n >= 1 and e >= 0")
     all_pairs = list(combinations(range(n), 2))
@@ -81,11 +86,11 @@ class CensusReport:
     diameter: int
 
 
-def _slide_graph(n: int, e: int, cap: int) -> tuple[list[Graph], Adj]:
+def _slide_graph(n: int, e: int) -> tuple[list[Graph], Adj]:
     """The connected (n, e) universe and its one-slide graph, whose
     vertex i is universe[i].  The relation is symmetric: S x z y undoes
     S x y z."""
-    universe = enumerate_connected(n, e, cap=cap)
+    universe = enumerate_connected(n, e)
     index = {g.edges: i for i, g in enumerate(universe)}
     nbrs = []
     for g in universe:
@@ -94,13 +99,13 @@ def _slide_graph(n: int, e: int, cap: int) -> tuple[list[Graph], Adj]:
     return universe, Adj(len(universe), nbrs)
 
 
-def reachability_census(n: int, e: int, cap: int = 5) -> CensusReport:
+def reachability_census(n: int, e: int) -> CensusReport:
     """Full BFS census of the slide relation over all connected (n, e)
     graphs: equivalence class count and the largest pairwise slide
     distance within a class."""
-    if n > cap:
-        raise GraphError(f"n={n} exceeds the census cap {cap}")
-    universe, slides = _slide_graph(n, e, cap)
+    if n > _CENSUS_CAP:
+        raise GraphError(f"n={n} exceeds the census cap {_CENSUS_CAP}")
+    universe, slides = _slide_graph(n, e)
     count = len(universe)
     classes = 0
     diameter = 0
@@ -122,7 +127,7 @@ def slide_distances(n: int, e: int) -> tuple[list[Graph], list[list[int]]]:
     exists.  For n <= 6."""
     if n > 6:
         raise GraphError(f"n={n} exceeds the slide-distance cap 6")
-    universe, slides = _slide_graph(n, e, 6)
+    universe, slides = _slide_graph(n, e)
     return universe, [slides.distances(start) for start in range(len(universe))]
 
 

@@ -43,7 +43,7 @@ from .graph import (
     inverse_bijection,
     _check_vertex,
 )
-from .moves import MoveScript, Slide, _verify_generated
+from .moves import MoveScript, Slide, _verify_generated, apply_move_adj
 from .slides import _interchange, _relocate
 
 __all__ = [
@@ -63,7 +63,7 @@ __all__ = [
 def _raise_tree_engine(tree: Adj, x: int, on_slide) -> None:
     """Run the leaf-relocation loop on a tree until d(x) = n - 1.
 
-    `on_slide(pivot, frm, to)` fires after each single tree slide.
+    `on_slide(m)` fires after each single tree slide m.
     """
     n = tree.n
     while tree.degree(x) < n - 1:
@@ -76,8 +76,9 @@ def _raise_tree_engine(tree: Adj, x: int, on_slide) -> None:
         z = next(iter(tree.nbrs[y]))
         path = tree.bfs_path(z, x)
         for c in range(len(path) - 1):
-            tree.slide(y, path[c], path[c + 1])
-            on_slide(y, path[c], path[c + 1])
+            m = Slide(y, path[c], path[c + 1])
+            apply_move_adj(tree, m)
+            on_slide(m)
 
 
 def raise_degree_in_tree(t: Graph, x: int) -> MoveScript:
@@ -88,7 +89,7 @@ def raise_degree_in_tree(t: Graph, x: int) -> MoveScript:
     if t.e != t.n - 1 or not tree.connected():
         raise GraphError("raise_degree_in_tree requires a tree")
     out: list = []
-    _raise_tree_engine(tree, x, lambda p, a, b: out.append(Slide(p, a, b)))
+    _raise_tree_engine(tree, x, out.append)
     return tuple(out)
 
 
@@ -99,11 +100,10 @@ def _raise_degree_engine(adj: Adj, x: int, out: list) -> None:
     if tree is None:
         raise GraphError("graph must be connected")
 
-    def mirror(pivot: int, frm: int, to: int) -> None:
-        if not adj.has(pivot, to):
-            assert adj.has(pivot, frm) and adj.has(frm, to)
-            adj.slide(pivot, frm, to)
-            out.append(Slide(pivot, frm, to))
+    def mirror(m: Slide) -> None:
+        if not adj.has(m.x, m.z):
+            apply_move_adj(adj, m)
+            out.append(m)
 
     _raise_tree_engine(tree, x, mirror)
     assert adj.degree(x) == adj.n - 1

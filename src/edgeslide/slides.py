@@ -16,7 +16,7 @@ from typing import Sequence
 
 from ._adj import Adj
 from .graph import Graph, GraphError, _check_vertex
-from .moves import MoveScript, Slide
+from .moves import MoveScript, Slide, apply_move_adj
 
 __all__ = [
     "slide_along_path",
@@ -32,10 +32,9 @@ __all__ = [
 
 
 def _slide_step(adj: Adj, out: list, x: int, y: int, z: int) -> None:
-    if not adj.has(x, y) or not adj.has(y, z) or adj.has(x, z) or len({x, y, z}) != 3:
-        raise GraphError(f"illegal slide ({x}, {y}, {z})")
-    out.append(Slide(x, y, z))
-    adj.slide(x, y, z)
+    m = Slide(x, y, z)
+    apply_move_adj(adj, m)
+    out.append(m)
 
 
 def _slide_along(adj: Adj, out: list, pivot: int, path: Sequence[int]) -> None:

@@ -251,3 +251,32 @@ def test_verify_bijection_for_a_goal_of_another_order_exits_one(files, capsys):
     m.write_text("m 0 0\nm 1 1\nm 2 2\n", encoding="ascii")
     assert run(["verify", p3, str(s), "--expect", p3, "--bijection", str(m)]) == 1
     assert "replayed graph does not match the expected one" in capsys.readouterr().err
+
+
+def test_output_file_gets_the_mode_open_would_give(files):
+    tmp, write = files
+    argv = ["transform", write("a.elist", path_graph(4)), write("b.elist", star_graph(4)), "-o"]
+    new, old = tmp / "new.moves", tmp / "old.moves"
+    old.write_text("", encoding="ascii")
+    os.chmod(old, 0o640)
+    umask = os.umask(0o022)
+    try:
+        assert run(argv + [str(new)]) == 0
+        assert run(argv + [str(old)]) == 0
+    finally:
+        os.umask(umask)
+    assert new.stat().st_mode & 0o777 == 0o644
+    assert old.stat().st_mode & 0o777 == 0o640
+    assert old.read_text(encoding="ascii") == new.read_text(encoding="ascii") != ""
+
+
+def test_verify_bijection_without_expect_exits_two(files, capsys):
+    tmp, write = files
+    a = write("a.elist", path_graph(4))
+    s = tmp / "s.moves"
+    s.write_text("S 0 1 2\n", encoding="ascii")
+    argv = ["verify", a, str(s), "--bijection"]
+    _assert_one_error_line(run(argv + [str(tmp / "missing.txt")]), capsys)
+    m = tmp / "m.txt"
+    m.write_text("m 0 0\nm 1 1\nm 2 2\nm 3 3\n", encoding="ascii")
+    _assert_one_error_line(run(argv + [str(m)]), capsys)

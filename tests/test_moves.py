@@ -166,8 +166,16 @@ def test_script_round_trip():
 
 
 def test_script_serialization_format():
-    text = serialize_script((Slide(1, 2, 3), Subdivide(4, 5, 6), RemoveLeaf(7, 8)))
-    assert text == "S 1 2 3\nSD 4 5 6\nRL 7 8\n"
+    script = (Slide(1, 2, 3), AddPendant(9, 10), Subdivide(4, 5, 6), RemoveLeaf(7, 8), Smooth(11, 12, 13))
+    text = serialize_script(script)
+    assert text == "S 1 2 3\nAP 9 10\nSD 4 5 6\nRL 7 8\nSM 11 12 13\n"
+    assert parse_script(text) == script
+    # each field by name, so a field-order slip in either direction fails
+    assert parse_script("S 1 2 3\n")[0] == Slide(x=1, y=2, z=3)
+    assert parse_script("AP 1 2\n")[0] == AddPendant(x=1, y=2)
+    assert parse_script("SD 1 2 3\n")[0] == Subdivide(x=1, z=2, y=3)
+    assert parse_script("RL 1 2\n")[0] == RemoveLeaf(y=1, x=2)
+    assert parse_script("SM 1 2 3\n")[0] == Smooth(y=1, x=2, z=3)
 
 
 def test_parse_script_lines_and_comments():

@@ -23,7 +23,7 @@ from edgeslide import (
     transform,
 )
 from edgeslide._adj import Adj
-from edgeslide.moves import check_move
+from edgeslide.moves import apply_move_adj
 from helpers import count_connectivity_checks, random_connected_graph, replay_checking_every_move
 
 SEEDS = range(24)
@@ -75,12 +75,13 @@ def _verdicts(g, script):
 
 
 def _illegal_move(g, rng):
-    adj = Adj.from_graph(g)
     while True:
         ids = [rng.randrange(g.n + 1) for _ in range(3)]
         cls = rng.choice((Slide, AddPendant, Subdivide, RemoveLeaf, Smooth))
         m = cls(*ids[: 2 if cls in (AddPendant, RemoveLeaf) else 3])
-        if check_move(adj, m) is not None:
+        try:
+            apply_move_adj(Adj.from_graph(g), m)
+        except MoveError:
             return m
 
 
