@@ -2,12 +2,17 @@
 
 Not part of the public API.  Three loops walk neighbors:
 
-- ``_parents``, a BFS in ascending id order, under ``bfs_path`` and
-  ``bfs_tree``.  Their paths and trees become slides, so this order
-  fixes the bytes of every script; no other kernel is ordered.
+- ``_parents``, a BFS in ascending id order, under ``bfs_tree``.  Its
+  trees become slides, so this order fixes the bytes of those scripts.
 - ``layers``, a lazy BFS in set order, under ``distances``, the
-  transform's pricing and a relocation's relabeling, which read only
-  whole layers and hop counts.
+  transform's pricing, a relocation's relabeling and ``bfs_path``.  None
+  of them depends on set order: the first three read whole layers and
+  hop counts, and ``bfs_path`` reads hop counts to b, then takes the
+  smallest-id neighbor one hop closer to b at each step.  That is the
+  lexicographically least shortest path, which is the path the
+  ascending-id BFS tree from a gives: within one layer, that BFS
+  dequeues vertices in the lexicographic order of their tree paths, so
+  each tree path is the least shortest one.
 - ``_reach``, a list that grows while it is walked, under
   ``components`` (each sorted) and ``connected``.  ``connected`` does
   not run on ``layers``: at n = 6 a check over the generator took 1.5
@@ -85,10 +90,9 @@ class Adj:
 
         return Graph(self.n, self.sorted_edges())
 
-    def _parents(self, root: int, stop: int = -1) -> list[int]:
+    def _parents(self, root: int) -> list[int]:
         """BFS parent of each vertex, neighbors taken in ascending id
-        order: -1 at root, -2 where not reached.  Returns as soon as
-        `stop` gets its parent."""
+        order: -1 at root, -2 where not reached."""
         nbrs = self.nbrs
         parent = [-2] * self.n
         parent[root] = -1
@@ -97,23 +101,31 @@ class Adj:
             for v in sorted(nbrs[u]):
                 if parent[v] == -2:
                     parent[v] = u
-                    if v == stop:
-                        return parent
                     queue.append(v)
         return parent
 
     def bfs_path(self, a: int, b: int):
-        """Shortest path a -> b, or None.  A caller that needs a path
-        avoiding an edge removes it first and adds it back after."""
+        """The lexicographically least shortest path a -> b, or None.
+        An adjacent pair needs no BFS.  Otherwise a BFS from b stops at
+        the layer holding a, and the walk from a takes the smallest-id
+        neighbor one hop closer to b at each step.  A caller that needs a
+        path avoiding an edge removes it first and adds it back after."""
         if a == b:
             return [a]
-        parent = self._parents(a, b)
-        if parent[b] == -2:
+        nbrs = self.nbrs
+        if b in nbrs[a]:
+            return [a, b]
+        dist = [-1] * self.n
+        for _ in self.layers(b, dist):
+            if dist[a] >= 0:
+                break
+        else:
             return None
-        path = [b]
-        while path[-1] != a:
-            path.append(parent[path[-1]])
-        path.reverse()
+        path = [a]
+        u = a
+        for d in range(dist[a] - 1, -1, -1):
+            u = min([v for v in nbrs[u] if dist[v] == d])
+            path.append(u)
         return path
 
     def bfs_tree(self, root: int) -> "Adj | None":

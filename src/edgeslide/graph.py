@@ -207,7 +207,8 @@ def is_connected(g: Graph) -> bool:
 def shortest_path(
     g: Graph, a: int, b: int, forbidden: tuple[int, int] | None = None
 ) -> Path | None:
-    """Deterministic BFS shortest path from a to b, or None if unreachable.
+    """The lexicographically least shortest path from a to b, or None if
+    unreachable.
 
     ``forbidden`` names an edge that the path must not traverse; a pair
     that is not an edge of g forbids nothing.

@@ -103,7 +103,7 @@ def _in_range(adj: Adj, *vs: int) -> bool:
     return True
 
 
-def apply_move_adj(adj: Adj, m: Move) -> tuple[tuple[int, int, bool], ...] | None:
+def apply_move_adj(adj: Adj, m: Move) -> tuple[int, ...] | None:
     """Check one move against adj, apply it, and return the pairs it wrote.
 
     This is the one definition of the move kinds: each kind's branch
@@ -111,10 +111,11 @@ def apply_move_adj(adj: Adj, m: Move) -> tuple[tuple[int, int, bool], ...] | Non
     on the neighbor sets, and the pairs the full check reads after it.
     A rejected move raises ``MoveError`` and leaves adj as it was.
 
-    The pairs are ``(a, b, edge)`` triples: each pair the move wrote,
-    and the pair that keeps the ends of a removed edge joined, with
-    whether {a, b} must now be an edge.  A removal renumbers every set,
-    so it returns None, and the full check reads the whole state.
+    The pairs come as one flat ``(a, b, c)`` path: a-b and b-c must now
+    be edges and a-c must not, so the path keeps the ends of the removed
+    edge a-c joined.  A pendant removes no edge and returns its one new
+    edge ``(a, b)``.  A removal renumbers every set, so it returns None,
+    and the full check reads the whole state.
     """
     if isinstance(m, Slide):
         x, y, z = m.x, m.y, m.z
@@ -129,7 +130,7 @@ def apply_move_adj(adj: Adj, m: Move) -> tuple[tuple[int, int, bool], ...] | Non
         if adj.has(x, z):
             raise MoveError(f"vertices {x} and {z} already adjacent in {m}")
         adj.slide(x, y, z)
-        return (x, z, True), (z, y, True), (x, y, False)
+        return x, z, y
     if isinstance(m, AddPendant):
         if not _in_range(adj, m.x):
             raise MoveError(f"anchor {m.x} out of range in {m}")
@@ -137,7 +138,7 @@ def apply_move_adj(adj: Adj, m: Move) -> tuple[tuple[int, int, bool], ...] | Non
             raise MoveError(f"new vertex must be {adj.n}, got {m.y}")
         adj.add_vertex()
         adj.add(m.x, m.y)
-        return ((m.x, m.y, True),)
+        return m.x, m.y
     if isinstance(m, Subdivide):
         if m.x == m.z:
             raise MoveError(f"subdivide endpoints must differ in {m}")
@@ -151,7 +152,7 @@ def apply_move_adj(adj: Adj, m: Move) -> tuple[tuple[int, int, bool], ...] | Non
         adj.remove(m.x, m.z)
         adj.add(m.x, m.y)
         adj.add(m.z, m.y)
-        return (m.x, m.y, True), (m.y, m.z, True), (m.x, m.z, False)
+        return m.x, m.y, m.z
     if isinstance(m, RemoveLeaf):
         if not _in_range(adj, m.y, m.x):
             raise MoveError(f"vertex id out of range in {m}")
@@ -245,13 +246,21 @@ def _verify_generated(
     return script
 
 
-def _wrote_cleanly(nbrs: list[set[int]], pairs: tuple[tuple[int, int, bool], ...]) -> bool:
-    """Each pair :func:`apply_move_adj` named reads the same from both
-    ends, an edge or not as it said, with no loop at either end."""
-    for a, b, edge in pairs:
-        if (b in nbrs[a]) != edge or (a in nbrs[b]) != edge or a in nbrs[a] or b in nbrs[b]:
-            return False
-    return True
+def _wrote_cleanly(nbrs: list[set[int]], path: tuple[int, ...]) -> bool:
+    """The path :func:`apply_move_adj` returned reads the same from both
+    ends of each pair: its consecutive vertices are joined, the ends of
+    a three-vertex path are not, and no vertex on it has a loop."""
+    if len(path) == 2:
+        a, b = path
+        na, nb = nbrs[a], nbrs[b]
+        return b in na and a in nb and a not in na and b not in nb
+    a, b, c = path
+    na, nb, nc = nbrs[a], nbrs[b], nbrs[c]
+    return (
+        b in na and a in nb and c in nb and b in nc
+        and c not in na and a not in nc
+        and a not in na and b not in nb and c not in nc
+    )
 
 
 def _check_state(adj: Adj, chi0: int, index: int) -> None:

@@ -10,11 +10,12 @@ the energy by 2*(d(high) - d(low) - 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from ._adj import Adj
 from .graph import Graph, GraphError
 from .moves import MoveScript, _verify_generated
-from .slides import _shuffle, _slide_step
+from .slides import _shuffle
 
 __all__ = [
     "DegreeTarget",
@@ -104,34 +105,55 @@ def regularize_steps(g: Graph) -> tuple[RegularizeStep, ...]:
     adj = Adj.from_graph(g)
     if not adj.connected():
         raise GraphError("regularize requires a connected graph")
+    nbrs = adj.nbrs
+    degs = adj.degrees()
+    # A min-heap of ids per degree; an entry v in buckets[d] is stale once
+    # degs[v] != d.  Only x (down to hi - 1) and y (up to lo + 1 <= hi - 1)
+    # change degree, so the top degree hi only falls and the bottom lo
+    # only rises.
+    hi, lo = max(degs), min(degs)
+    buckets: list[list[int]] = [[] for _ in range(hi + 1)]
+    for v, d in enumerate(degs):
+        buckets[d].append(v)  # ascending ids: already a heap
+
+    def top(d: int) -> int | None:
+        bucket = buckets[d]
+        while bucket and degs[bucket[0]] != d:
+            heappop(bucket)
+        return bucket[0] if bucket else None
+
     steps: list[RegularizeStep] = []
-    n = adj.n
     while True:
-        degs = adj.degrees()
-        x = min(range(n), key=lambda v: (-degs[v], v))
-        y = min(range(n), key=lambda v: (degs[v], v))
-        if degs[x] - degs[y] < 2:
+        while (x := top(hi)) is None:
+            hi -= 1
+        while (y := top(lo)) is None:
+            lo += 1
+        if hi - lo < 2:
             break
         path = adj.bfs_path(x, y)
+        donor = min(nbrs[x] - nbrs[y] - set(path))
         moves: list = []
-        if len(path) == 2:
-            donor = min(a for a in adj.nbrs[x] if a != y and not adj.has(a, y))
-            _slide_step(adj, moves, donor, x, y)
-        else:
-            on_path = set(path)
-            donor = min(
-                a for a in adj.nbrs[x] if a not in on_path and not adj.has(a, y)
-            )
-            _shuffle(adj, moves, donor, path)
-        steps.append(RegularizeStep(x, y, degs[x], degs[y], tuple(moves)))
+        _shuffle(adj, moves, donor, path)
+        degs[x], degs[y] = hi - 1, lo + 1
+        heappush(buckets[hi - 1], x)
+        heappush(buckets[lo + 1], y)
+        steps.append(RegularizeStep(x, y, hi, lo, tuple(moves)))
     return tuple(steps)
 
 
 def regularize(g: Graph) -> MoveScript:
     """Slides carrying g to an almost regular graph realizing the
-    (k, r) profile of :func:`almost_regular_target`.  The script is
-    verified once before it is returned, by a full-check replay; a
-    rejected move raises ``MoveError``."""
+    (k, r) profile of :func:`almost_regular_target`.
+
+    Each step is chosen deterministically: x is the smallest-id vertex
+    of highest degree and y the smallest-id vertex of lowest degree,
+    then the lexicographically least shortest x -> y path, then the
+    least donor, a neighbor of x off the path and not adjacent to y.
+    The donor's edge to x is passed along the path to y, so x loses one
+    degree, y gains one, and no other degree changes.  The steps stop
+    once the degrees differ by at most 1.  The script is verified once
+    before it is returned, by a full-check replay; a rejected move
+    raises ``MoveError``."""
     script: list = []
     for step in regularize_steps(g):
         script.extend(step.moves)

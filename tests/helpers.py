@@ -23,6 +23,21 @@ def random_connected_graph(n: int, e: int, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def hub_graph(n: int, extra: int, rng: random.Random) -> Graph:
+    """A star at vertex 0 plus `extra` random edges whose first end
+    favours low ids: a spanning tree with its load on one hub, the shape
+    of the regularize benchmark's inputs."""
+    assert n - 1 + extra <= n * (n - 1) // 2
+    edges = {(0, v) for v in range(1, n)}
+    target = len(edges) + extra
+    while len(edges) < target:
+        u = min(rng.randrange(n), rng.randrange(n))
+        v = rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, edges)
+
+
 def nx_graph(g: Graph):
     """The same graph as a networkx.Graph, for independent cross-checks."""
     import networkx as nx
@@ -31,6 +46,25 @@ def nx_graph(g: Graph):
     out.add_nodes_from(range(g.n))
     out.add_edges_from(g.edges)
     return out
+
+
+def bfs_tree_path(g: Graph, a: int, b: int):
+    """The a -> b path in the BFS tree from a that takes neighbors in
+    ascending id order, or None when b is unreachable: the reference for
+    ``Adj.bfs_path``."""
+    parent = {a: None}
+    queue = [a]
+    for u in queue:
+        for v in sorted(g.neighbors(u)):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    if b not in parent:
+        return None
+    path = [b]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def all_simple_paths(g: Graph, a: int, b: int, forbidden=None):

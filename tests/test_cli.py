@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import edgeslide
 from edgeslide import (
     complete_graph,
     cycle_graph,
@@ -280,3 +283,44 @@ def test_verify_bijection_without_expect_exits_two(files, capsys):
     m = tmp / "m.txt"
     m.write_text("m 0 0\nm 1 1\nm 2 2\nm 3 3\n", encoding="ascii")
     _assert_one_error_line(run(argv + [str(m)]), capsys)
+
+
+_ENTRY_POINTS = {
+    # what the ``edgeslide`` console script runs
+    "console script": ["-c", "from edgeslide.cli import main; main()"],
+    "python -m edgeslide": ["-m", "edgeslide"],
+    "python -m edgeslide.cli": ["-m", "edgeslide.cli"],
+}
+
+
+def _run_entry(args, argv, cwd):
+    """Exit code and stdout of one CLI run in a fresh interpreter that
+    imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(edgeslide.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, *args, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    return done.returncode, done.stdout
+
+
+def test_module_forms_match_the_console_script(files):
+    tmp, write = files
+    a = write("a.elist", path_graph(4))
+    b = write("b.elist", star_graph(4))
+    bad = tmp / "bad.moves"
+    bad.write_text("S 0 1 3\n", encoding="ascii")
+    results = {}
+    for name, args in _ENTRY_POINTS.items():
+        out = tmp / f"{len(results)}.moves"
+        results[name] = (
+            _run_entry(args, ["stats", str(tmp / "missing.elist")], tmp)[0],
+            _run_entry(args, ["transform", a, b, "-o", str(out)], tmp)[0],
+            out.read_text(encoding="ascii") if out.exists() else None,
+            _run_entry(args, ["verify", a, str(bad)], tmp)[0],
+            _run_entry(args, ["stats", a], tmp),
+        )
+    want = results.pop("console script")
+    assert want[:2] == (2, 0) and want[2] and want[3] == 1 and want[4][0] == 0
+    assert results == {name: want for name in results}

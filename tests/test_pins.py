@@ -3,8 +3,9 @@
 C9 compares two runs of the same code; these digests compare the code
 with the scripts it emitted before.  They hash ``serialize_script`` of
 ``transform``, of ``transform_peel`` (with ``repr`` of its level trace),
-of ``move_edge``, of ``regularize`` and of ``transform_euler`` (with
-``repr`` of its mapping) on seeded inputs.  A change that alters scripts on
+of ``move_edge``, of ``regularize`` (on small random graphs and on hub
+graphs at n = 200 and 300) and of ``transform_euler`` (with ``repr`` of
+its mapping) on seeded inputs.  A change that alters scripts on
 purpose updates the constants and says so in ``CHANGES.md``.
 """
 import hashlib
@@ -18,7 +19,7 @@ from edgeslide import (
     transform_euler,
     transform_peel,
 )
-from helpers import legal_relocations, random_connected_graph
+from helpers import hub_graph, legal_relocations, random_connected_graph
 
 PINNED = {
     "transform": "8032071f0824b31c789e88829719c8b09310ddb99b4349518e1c4d4c4f69c4b2",
@@ -30,6 +31,10 @@ PINNED_RESIZE = {
     "regularize": "218007226ac1e5042bbf31c51a695c3b1e199cde0ca5b42359268ed1b7a1c84e",
     "transform_euler": "66490aec08b41e62a9ff42e823e0e60b556ccf845020835cef5da405d472a8db",
 }
+
+# regularize on hub graphs (a star plus n extra edges): hundreds of steps
+# each, where the PINNED_RESIZE graphs (n <= 40) take a few dozen
+PINNED_HUB = "d172808118eb6509cb81005518f1e70a7959495ad21084209a3b5204ad987acf"
 
 
 def _pairs():
@@ -102,3 +107,9 @@ def test_regularize_and_euler_scripts_match_pinned_digests():
         "transform_euler": _digest(serialize_script(s) + repr(m) for s, m in euler),
     }
     assert got == PINNED_RESIZE
+
+
+def test_regularize_on_hub_graphs_matches_pinned_digest():
+    rng = random.Random(2026)
+    hubs = [hub_graph(n, n, rng) for n in (200, 200, 300, 300)]
+    assert _digest(serialize_script(regularize(g)) for g in hubs) == PINNED_HUB

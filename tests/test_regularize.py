@@ -18,7 +18,9 @@ from edgeslide import (
     star_graph,
     stats,
 )
-from helpers import random_connected_graph
+from edgeslide._adj import Adj
+from edgeslide.moves import apply_move_adj
+from helpers import hub_graph, random_connected_graph
 
 
 def test_target_nine_sixteen():
@@ -140,3 +142,38 @@ def test_regularize_nine_sixteen_figure_class():
         s = stats(final)
         assert sorted(s.degrees, reverse=True) == [4, 4, 4, 4, 4, 3, 3, 3, 3]
         assert s.energy == 116
+
+
+def _brute_force_pick(degs):
+    x = min(range(len(degs)), key=lambda v: (-degs[v], v))
+    y = min(range(len(degs)), key=lambda v: (degs[v], v))
+    return x, y, degs[x], degs[y]
+
+
+def test_each_step_picks_the_smallest_id_extremes():
+    rng = random.Random(77)
+    graphs = [hub_graph(n, n, rng) for n in (40, 200, 300)]
+    graphs += [random_connected_graph(n, k * n, rng) for n, k in ((60, 2), (120, 3), (300, 2))]
+    for g in graphs:
+        adj = Adj.from_graph(g)
+        for step in regularize_steps(g):
+            assert (step.high, step.low, step.high_degree, step.low_degree) == _brute_force_pick(
+                adj.degrees()
+            )
+            for m in step.moves:
+                apply_move_adj(adj, m)
+        _, _, top, bottom = _brute_force_pick(adj.degrees())
+        assert top - bottom < 2
+
+
+def test_regularize_steps_reads_degrees_once_and_builds_no_bfs_tree(monkeypatch):
+    calls = []
+    degrees, parents = Adj.degrees, Adj._parents
+    monkeypatch.setattr(Adj, "degrees", lambda self: calls.append("degrees") or degrees(self))
+    monkeypatch.setattr(
+        Adj, "_parents", lambda self, root: calls.append("_parents") or parents(self, root)
+    )
+    steps = regularize_steps(hub_graph(200, 200, random.Random(5)))
+    assert len(steps) > 100
+    assert calls.count("degrees") <= 1
+    assert "_parents" not in calls

@@ -20,7 +20,7 @@ from edgeslide import (
 )
 from edgeslide._adj import Adj
 from edgeslide.moves import _verify_generated
-from helpers import nx_graph, random_connected_graph
+from helpers import bfs_tree_path, nx_graph, random_connected_graph
 
 
 @st.composite
@@ -77,6 +77,22 @@ def test_shortest_path_matches_networkx(case, data):
     assert len(path) == nx.shortest_path_length(ref, a, b) + 1
     assert path[0] == a and path[-1] == b
     assert all(g.adjacent(u, v) for u, v in zip(path, path[1:]))
+
+
+@given(graph_and_vertex(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_bfs_path_is_the_least_shortest_path(case, data):
+    g, a = case
+    b = data.draw(st.integers(0, g.n - 1))
+    adj = Adj.from_graph(g)
+    assert adj.bfs_path(a, a) == [a]
+    path = adj.bfs_path(a, b)
+    assert path == bfs_tree_path(g, a, b)
+    ref = nx_graph(g)
+    if nx.has_path(ref, a, b):
+        assert path == min(nx.all_shortest_paths(ref, a, b))
+    else:
+        assert path is None
 
 
 @given(graph_and_vertex())
