@@ -1,137 +1,25 @@
-"""Certified edge-slide transformations of connected simple graphs."""
+"""Certified edge-slide transformations of connected simple graphs.
 
-from .graph import (
-    Graph,
-    GraphError,
-    GraphStats,
-    ParseError,
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    identity_bijection,
-    inverse_bijection,
-    is_connected,
-    is_isomorphic_under,
-    parse_graph,
-    path_graph,
-    serialize_graph,
-    shortest_path,
-    spanning_tree,
-    star_graph,
-    stats,
-)
-from .moves import (
-    AddPendant,
-    Move,
-    MoveError,
-    MoveScript,
-    RemoveLeaf,
-    Slide,
-    Smooth,
-    Subdivide,
-    apply_move,
-    parse_script,
-    parse_script_lines,
-    replay,
-    serialize_script,
-)
-from .slides import (
-    find_transfer_paths,
-    interchange,
-    move_edge,
-    shuffle,
-    slide_along_path,
-)
-from .prescribe import (
-    LevelTrace,
-    TransformPlan,
-    raise_degree,
-    raise_degree_in_tree,
-    transform,
-    transform_peel,
-)
-from .regularize import (
-    DegreeTarget,
-    RegularizeStep,
-    almost_regular_target,
-    minimal_energy_oracle,
-    regularize,
-    regularize_steps,
-)
-from .euler import (
-    collapse_to_order,
-    expand_to_order,
-    pendant_subdivide_equivalence,
-    transform_euler,
-)
-from .oracle import (
-    CensusReport,
-    enumerate_connected,
-    format_census_table,
-    reachability_census,
-    slide_distances,
-    slide_neighbors,
-)
+Each library module's ``__all__`` is the one list of its public names;
+the package exports their union.  The list is read before the star
+imports, because ``from .regularize import *`` rebinds ``regularize``
+here from the module to its function.
+"""
 
-__version__ = "0.1.0"
+from . import euler, graph, moves, oracle, prescribe, regularize, slides
 
 __all__ = [
-    "Graph",
-    "GraphError",
-    "GraphStats",
-    "ParseError",
-    "parse_graph",
-    "serialize_graph",
-    "is_connected",
-    "shortest_path",
-    "connected_components",
-    "spanning_tree",
-    "stats",
-    "is_isomorphic_under",
-    "identity_bijection",
-    "inverse_bijection",
-    "path_graph",
-    "cycle_graph",
-    "complete_graph",
-    "star_graph",
-    "Slide",
-    "AddPendant",
-    "Subdivide",
-    "RemoveLeaf",
-    "Smooth",
-    "Move",
-    "MoveScript",
-    "MoveError",
-    "apply_move",
-    "replay",
-    "parse_script",
-    "parse_script_lines",
-    "serialize_script",
-    "slide_along_path",
-    "shuffle",
-    "find_transfer_paths",
-    "move_edge",
-    "interchange",
-    "raise_degree_in_tree",
-    "raise_degree",
-    "transform",
-    "transform_peel",
-    "TransformPlan",
-    "LevelTrace",
-    "DegreeTarget",
-    "almost_regular_target",
-    "minimal_energy_oracle",
-    "RegularizeStep",
-    "regularize_steps",
-    "regularize",
-    "expand_to_order",
-    "pendant_subdivide_equivalence",
-    "collapse_to_order",
-    "transform_euler",
-    "enumerate_connected",
-    "slide_neighbors",
-    "reachability_census",
-    "slide_distances",
-    "CensusReport",
-    "format_census_table",
+    name
+    for module in (graph, moves, slides, prescribe, regularize, euler, oracle)
+    for name in module.__all__
 ]
+
+from .graph import *  # noqa: E402,F403
+from .moves import *  # noqa: E402,F403
+from .slides import *  # noqa: E402,F403
+from .prescribe import *  # noqa: E402,F403
+from .regularize import *  # noqa: E402,F403
+from .euler import *  # noqa: E402,F403
+from .oracle import *  # noqa: E402,F403
+
+__version__ = "0.1.0"

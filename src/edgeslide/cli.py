@@ -22,11 +22,11 @@ import tempfile
 
 from .euler import transform_euler
 from .graph import (
-    Graph,
     GraphError,
     ParseError,
     _maps_onto,
     _parse_ints,
+    _records,
     check_bijection,
     identity_bijection,
     parse_graph,
@@ -38,7 +38,7 @@ from .oracle import format_census_table, reachability_census
 from .prescribe import transform
 from .regularize import regularize
 
-__all__ = ["run", "main", "replay"]
+__all__ = ["run", "main"]
 
 
 def _read(path: str) -> str:
@@ -79,56 +79,58 @@ def _emit(text: str, out_path: str | None) -> None:
         _write_atomic(out_path, text)
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, parse, *args):
+    """parse(text, *args) on the text of the file at path.  Every input
+    file is read here, so each parse error names its file."""
+    text = _read(path)
     try:
-        return parse_graph(_read(path))
-    except ParseError as err:
+        return parse(text, *args)
+    except GraphError as err:
         raise GraphError(f"{path}: {err}") from None
 
 
-def _load_bijection(path: str | None, n: int) -> tuple[int, ...]:
-    if path is None:
-        return identity_bijection(n)
+def _parse_bijection(text: str, n: int) -> tuple[int, ...]:
+    """A bijection file: one ``m <src> <dst>`` line per vertex of 0..n-1."""
     mapping: dict[int, int] = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         if parts[0] != "m" or len(parts) != 3:
-            raise GraphError(f"{path}: line {lineno}: expected 'm <src> <dst>'")
+            raise ParseError(lineno, "expected 'm <src> <dst>'")
         try:
             src, dst = _parse_ints(parts[1:])
         except ValueError:
-            raise GraphError(f"{path}: line {lineno}: expected nonnegative integers") from None
+            raise ParseError(lineno, "expected nonnegative integers") from None
         if src >= n:
-            raise GraphError(f"{path}: line {lineno}: source {src} out of range for n={n}")
+            raise ParseError(lineno, f"source {src} out of range for n={n}")
         if src in mapping:
-            raise GraphError(f"{path}: line {lineno}: duplicate source {src}")
+            raise ParseError(lineno, f"duplicate source {src}")
         mapping[src] = dst
     forward = [mapping.get(i, -1) for i in range(n)]
     if -1 in forward:
-        raise GraphError(f"{path}: bijection does not cover every vertex of 0..{n - 1}")
+        raise GraphError(f"bijection does not cover every vertex of 0..{n - 1}")
     return check_bijection(forward, n)
 
 
+def _load_bijection(path: str | None, n: int) -> tuple[int, ...]:
+    return identity_bijection(n) if path is None else _load(path, _parse_bijection, n)
+
+
 def _cmd_transform(args) -> int:
-    g = _load_graph(args.source)
-    h = _load_graph(args.goal)
+    g = _load(args.source, parse_graph)
+    h = _load(args.goal, parse_graph)
     psi = _load_bijection(args.bijection, g.n)
     _emit(serialize_script(transform(g, h, psi).script), args.output)
     return 0
 
 
 def _cmd_regularize(args) -> int:
-    g = _load_graph(args.source)
+    g = _load(args.source, parse_graph)
     _emit(serialize_script(regularize(g)), args.output)
     return 0
 
 
 def _cmd_euler_transform(args) -> int:
-    g = _load_graph(args.source)
-    h = _load_graph(args.goal)
+    g = _load(args.source, parse_graph)
+    h = _load(args.goal, parse_graph)
     script, mapping = transform_euler(g, h)
     _emit(serialize_script(script), args.output)
     for i, t in enumerate(mapping):
@@ -146,14 +148,14 @@ def _rejected(what: str, path: str, lines, err: MoveError) -> int:
 def _cmd_verify(args) -> int:
     if args.bijection is not None and args.expect is None:
         raise GraphError("--bijection needs --expect")
-    g = _load_graph(args.source)
-    script, lines = parse_script_lines(_read(args.script))
+    g = _load(args.source, parse_graph)
+    script, lines = _load(args.script, parse_script_lines)
     try:
         final = _replay_adj(g, script, "full")
     except MoveError as err:
         return _rejected("verification failed", args.script, lines, err)
     if args.expect is not None:
-        goal = _load_graph(args.expect)
+        goal = _load(args.expect, parse_graph)
         psi = _load_bijection(args.bijection, goal.n)
         if not _maps_onto(final.nbrs, goal, psi):
             print("verification failed: replayed graph does not match the expected one", file=sys.stderr)
@@ -163,8 +165,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    g = _load_graph(args.source)
-    script, lines = parse_script_lines(_read(args.script))
+    g = _load(args.source, parse_graph)
+    script, lines = _load(args.script, parse_script_lines)
     try:
         final = replay(g, script, check=args.check)
     except MoveError as err:
@@ -185,7 +187,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    g = _load_graph(args.source)
+    g = _load(args.source, parse_graph)
     s = stats(g)
     degrees = ",".join(str(d) for d in s.degrees)
     print(

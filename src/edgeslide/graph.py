@@ -15,7 +15,7 @@ Canonical serialization sorts the edge lines lexicographically, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._adj import Adj
 
@@ -34,7 +34,6 @@ __all__ = [
     "is_isomorphic_under",
     "identity_bijection",
     "inverse_bijection",
-    "check_bijection",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -136,18 +135,23 @@ def _parse_ints(tokens: Sequence[str]) -> list[int]:
     return list(map(int, tokens))
 
 
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` for each line of text that is neither blank
+    nor a ``#`` comment, counting lines from 1.  The one line syntax of
+    the ``.elist``, ``.moves`` and bijection formats."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, parts
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse an ``.elist`` document.  Errors name the offending line."""
+    """Parse an ``.elist`` document.  Errors name the offending line; an
+    error about the whole document names its last line."""
     n = e = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError(lineno, "duplicate header")
@@ -183,9 +187,9 @@ def parse_graph(text: str) -> Graph:
         else:
             raise ParseError(lineno, f"unrecognized line kind {parts[0]!r}")
     if n is None:
-        raise ParseError(max(last_line, 1), "missing 'p <n> <e>' header")
+        raise ParseError(max(len(text.splitlines()), 1), "missing 'p <n> <e>' header")
     if len(edges) != e:
-        raise ParseError(max(last_line, 1), f"expected {e} edge lines, found {len(edges)}")
+        raise ParseError(max(len(text.splitlines()), 1), f"expected {e} edge lines, found {len(edges)}")
     return Graph(n, edges)
 
 

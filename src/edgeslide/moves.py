@@ -29,7 +29,7 @@ from operator import attrgetter
 from typing import Sequence, Union
 
 from ._adj import Adj
-from .graph import Graph, GraphError, ParseError, _maps_onto, _parse_ints, check_bijection
+from .graph import Graph, GraphError, ParseError, _maps_onto, _parse_ints, _records, check_bijection
 
 __all__ = [
     "Slide",
@@ -170,8 +170,8 @@ def apply_move_adj(adj: Adj, m: Move) -> tuple[int, ...] | None:
             raise MoveError(f"vertex {y} must have neighbors exactly {{{x}, {z}}}")
         if adj.has(x, z):
             raise MoveError(f"vertices {x} and {z} already adjacent, smoothing would double the edge")
+        adj.add(x, z)
         adj.remove_vertex(y)
-        adj.add(x if x < y else x - 1, z if z < y else z - 1)
         return None
     raise MoveError(f"unknown move {m!r}")
 
@@ -300,11 +300,7 @@ def parse_script_lines(text: str) -> tuple[MoveScript, tuple[int, ...]]:
     """Parse a ``.moves`` document, also returning each move's line number."""
     moves: list[Move] = []
     lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         entry = _TAGS.get(parts[0])
         if entry is None:
             raise ParseError(lineno, f"unknown move tag {parts[0]!r}")

@@ -22,13 +22,15 @@ connected; when it is, the connected goal has a T-edge across the cut,
 and that edge is missing because the bridge was the only crossing edge.
 
 :func:`transform_peel` is the paper's level-peeling construction, kept
-as the reference: pick a minimum-degree vertex of the goal, pump the
-matching source vertex up to full degree by co-evolving a spanning
-tree, prune it back down while keeping the rest connected, match its
-neighborhood by interchanges, repair connectivity of both complements,
-and repeat on the remainders.  Goal-side repair slides are inverted,
-pulled back through ``psi``, and appended after the slides of every
-level, the last level's first.
+as a second, explicitly named engine.  No test compares the two
+engines' scripts; the acceptance sweep verifies each one's own.  It
+picks a minimum-degree vertex of the goal, pumps the matching source
+vertex up to full degree by co-evolving a spanning tree, prunes it back
+down while keeping the rest connected, matches its neighborhood by
+interchanges, repairs connectivity of both complements, and repeats on
+the remainders.  Goal-side repair slides are inverted, pulled back
+through ``psi``, and appended after the slides of every level, the last
+level's first.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .graph import (
     _check_vertex,
 )
 from .moves import MoveScript, Slide, _verify_generated, apply_move_adj
-from .slides import _interchange, _relocate
+from .slides import _interchange, _relocate, _slide_along
 
 __all__ = [
     "raise_degree_in_tree",
@@ -60,11 +62,9 @@ __all__ = [
 # Degree raising
 
 
-def _raise_tree_engine(tree: Adj, x: int, on_slide) -> None:
-    """Run the leaf-relocation loop on a tree until d(x) = n - 1.
-
-    `on_slide(m)` fires after each single tree slide m.
-    """
+def _raise_tree_engine(tree: Adj, x: int, out: list) -> None:
+    """Run the leaf-relocation loop on a tree until d(x) = n - 1,
+    appending each tree slide to out."""
     n = tree.n
     while tree.degree(x) < n - 1:
         y = -1
@@ -74,11 +74,7 @@ def _raise_tree_engine(tree: Adj, x: int, on_slide) -> None:
                 break
         assert y >= 0, "tree with d(x) < n-1 must have a leaf not adjacent to x"
         z = next(iter(tree.nbrs[y]))
-        path = tree.bfs_path(z, x)
-        for c in range(len(path) - 1):
-            m = Slide(y, path[c], path[c + 1])
-            apply_move_adj(tree, m)
-            on_slide(m)
+        _slide_along(tree, out, y, tree.bfs_path(z, x))
 
 
 def raise_degree_in_tree(t: Graph, x: int) -> MoveScript:
@@ -89,23 +85,23 @@ def raise_degree_in_tree(t: Graph, x: int) -> MoveScript:
     if t.e != t.n - 1 or not tree.connected():
         raise GraphError("raise_degree_in_tree requires a tree")
     out: list = []
-    _raise_tree_engine(tree, x, out.append)
+    _raise_tree_engine(tree, x, out)
     return tuple(out)
 
 
 def _raise_degree_engine(adj: Adj, x: int, out: list) -> None:
     """Pump d(x) to n - 1 by evolving a BFS spanning tree rooted at x and
-    mirroring each tree slide in the graph unless it would double an edge."""
+    mirroring each tree slide in the graph unless it would double an edge.
+    The tree loop never reads the graph, so the mirroring runs after it."""
     tree = adj.bfs_tree(x)
     if tree is None:
         raise GraphError("graph must be connected")
-
-    def mirror(m: Slide) -> None:
+    tree_slides: list = []
+    _raise_tree_engine(tree, x, tree_slides)
+    for m in tree_slides:
         if not adj.has(m.x, m.z):
             apply_move_adj(adj, m)
             out.append(m)
-
-    _raise_tree_engine(tree, x, mirror)
     assert adj.degree(x) == adj.n - 1
 
 

@@ -147,10 +147,11 @@ def test_byte_identical_reruns(files):
     assert open(o1, "rb").read() == open(o2, "rb").read()
 
 
-def _assert_one_error_line(code, capsys, expected=2):
+def _assert_one_error_line(code, capsys, expected=2, path=None):
     err = capsys.readouterr().err
     assert code == expected
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: " if path is None else f"error: {path}: ")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -222,6 +223,27 @@ def test_bijection_source_out_of_range_exits_two(files, capsys):
     m = tmp / "m.txt"
     m.write_text("m 0 2\nm 1 1\nm 2 0\nm 9 9\n", encoding="ascii")
     _assert_one_error_line(run(["transform", a, a, "--bijection", str(m)]), capsys)
+
+
+@pytest.mark.parametrize("command", ["verify", "replay"])
+def test_malformed_script_error_names_its_file(files, capsys, command):
+    tmp, write = files
+    a = write("a.elist", path_graph(4))
+    bad = tmp / "bad.moves"
+    bad.write_text("# one slide\nS 0 1\n", encoding="ascii")
+    _assert_one_error_line(run([command, a, str(bad)]), capsys, path=str(bad))
+
+
+@pytest.mark.parametrize("command", ["transform", "verify"])
+def test_bijection_that_is_not_a_permutation_names_its_file(files, capsys, command):
+    tmp, write = files
+    a = write("a.elist", path_graph(3))
+    m = tmp / "m.txt"
+    m.write_text("m 0 1\nm 1 1\nm 2 0\n", encoding="ascii")
+    s = tmp / "s.moves"
+    s.write_text("", encoding="ascii")
+    argv = [a, a] if command == "transform" else [a, str(s), "--expect", a]
+    _assert_one_error_line(run([command, *argv, "--bijection", str(m)]), capsys, path=str(m))
 
 
 def test_parser_is_built_once_and_survives_an_argparse_error(files, capsys):
