@@ -18,16 +18,27 @@ Not part of the public API.  Three loops walk neighbors:
   not run on ``layers``: at n = 6 a check over the generator took 1.5
   to 2 times as long as this loop, and a tiny transform calls
   ``connected`` several times.
+
+Rows are indexed by slot, not by vertex id.  Until a vertex is removed,
+slot = id and ``slot`` is None, so the loops above and the engines read
+``nbrs[v]`` directly.  The first removal makes ``slot`` the list of the
+live vertices' slots in id order, and each removal pops its vertex from
+that list, so the ids above it shift down by one, and touches only its
+neighbours' rows; its own row becomes None.  The move boundary
+(``moves.apply_move_adj``) translates a script's ids into slots, and
+:meth:`Adj.compact` renumbers the rows to the ids when a removed state
+must be read in id order.
 """
 from __future__ import annotations
 
 
 class Adj:
-    __slots__ = ("n", "nbrs")
+    __slots__ = ("n", "nbrs", "slot")
 
     def __init__(self, n: int, nbrs: list[set[int]]):
         self.n = n
         self.nbrs = nbrs
+        self.slot: list[int] | None = None
 
     @classmethod
     def from_graph(cls, g) -> "Adj":
@@ -59,22 +70,40 @@ class Adj:
         self.nbrs[z].add(x)
 
     def add_vertex(self) -> int:
+        """Add an isolated vertex with id n; return its slot."""
+        s = len(self.nbrs)
         self.nbrs.append(set())
+        if self.slot is not None:
+            self.slot.append(s)
         self.n += 1
-        return self.n - 1
+        return s
 
     def remove_vertex(self, y: int) -> None:
-        # ids above y shift down by one
-        old = self.nbrs
-        for w in old[y]:
-            old[w].discard(y)
-        new = []
-        for v in range(self.n):
-            if v == y:
-                continue
-            new.append({w if w < y else w - 1 for w in old[v]})
-        self.nbrs = new
+        """Remove the vertex with id y; the ids above y shift down by
+        one.  Only the rows of y's neighbours change, and y's row is
+        dropped, so the cost is y's degree plus the shift of ``slot``."""
+        if self.slot is None:
+            self.slot = list(range(self.n))
+        nbrs = self.nbrs
+        s = self.slot.pop(y)
+        for w in nbrs[s]:
+            nbrs[w].discard(s)
+        nbrs[s] = None
         self.n -= 1
+
+    def compact(self) -> None:
+        """Renumber the rows to the current ids, so slot = id again.
+        One O(n + e) pass, needed only after a removal.  It reads only
+        the live rows; an entry for a removed vertex becomes -1."""
+        slot = self.slot
+        if slot is None:
+            return
+        nbrs = self.nbrs
+        ids = [-1] * len(nbrs)
+        for v, s in enumerate(slot):
+            ids[s] = v
+        self.nbrs = [{ids[w] for w in nbrs[s]} for s in slot]
+        self.slot = None
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         out = []

@@ -10,7 +10,10 @@ Five move kinds:
                          and add edge {x,z}
 
 Vertex removals renumber: ids above the removed vertex shift down by one,
-and later moves in a script use the renumbered ids.
+and later moves in a script use the renumbered ids.  Replay does not
+rebuild anything to renumber: ``Adj`` keeps each vertex's row in a
+stable slot, a removal touches only the removed vertex's neighbours, and
+each move translates its ids into slots.
 
 :func:`apply_move_adj` is where each kind is defined: its precondition
 and rejection message, its effect, and the pairs it wrote, which the
@@ -103,82 +106,96 @@ def _in_range(adj: Adj, *vs: int) -> bool:
     return True
 
 
-def apply_move_adj(adj: Adj, m: Move) -> tuple[int, ...] | None:
+def apply_move_adj(adj: Adj, m: Move) -> tuple[int, ...]:
     """Check one move against adj, apply it, and return the pairs it wrote.
 
     This is the one definition of the move kinds: each kind's branch
     holds its precondition, with the message that rejects it, its effect
     on the neighbor sets, and the pairs the full check reads after it.
-    A rejected move raises ``MoveError`` and leaves adj as it was.
+    A rejected move raises ``MoveError`` and leaves adj as it was.  Each
+    branch translates the script's ids into adj's slots once, after its
+    range checks; messages name the script's ids.
 
-    The pairs come as one flat ``(a, b, c)`` path: a-b and b-c must now
-    be edges and a-c must not, so the path keeps the ends of the removed
-    edge a-c joined.  A pendant removes no edge and returns its one new
-    edge ``(a, b)``.  A removal renumbers every set, so it returns None,
-    and the full check reads the whole state.
+    The pairs are slots, in one flat tuple read by :func:`_wrote_cleanly`.
+    A slide or subdivision returns a path ``(a, b, c)``: a-b and b-c must
+    now be edges and a-c must not, so the path keeps the ends of the
+    removed edge a-c joined.  A pendant removes no edge and returns its
+    one new edge ``(a, b)``.  A removal returns ``~y`` for the dropped
+    slot y (negative, so it reads as neither of those), then the leaf's
+    anchor, or the ends of the smoothing's new edge.
     """
+    nbrs, slot = adj.nbrs, adj.slot
     if isinstance(m, Slide):
         x, y, z = m.x, m.y, m.z
         if len({x, y, z}) != 3:
             raise MoveError(f"slide vertices must be distinct, got {m}")
         if not _in_range(adj, x, y, z):
             raise MoveError(f"vertex id out of range in {m}")
-        if not adj.has(x, y):
+        if slot is None:  # the common case, spelled out: slides dominate replay
+            sx, sy, sz = x, y, z
+        else:
+            sx, sy, sz = slot[x], slot[y], slot[z]
+        if sy not in nbrs[sx]:
             raise MoveError(f"missing edge ({x}, {y}) for {m}")
-        if not adj.has(y, z):
+        if sz not in nbrs[sy]:
             raise MoveError(f"missing edge ({y}, {z}) for {m}")
-        if adj.has(x, z):
+        if sz in nbrs[sx]:
             raise MoveError(f"vertices {x} and {z} already adjacent in {m}")
-        adj.slide(x, y, z)
-        return x, z, y
+        adj.slide(sx, sy, sz)
+        return sx, sz, sy
     if isinstance(m, AddPendant):
         if not _in_range(adj, m.x):
             raise MoveError(f"anchor {m.x} out of range in {m}")
         if m.y != adj.n:
             raise MoveError(f"new vertex must be {adj.n}, got {m.y}")
-        adj.add_vertex()
-        adj.add(m.x, m.y)
-        return m.x, m.y
+        sx = m.x if slot is None else slot[m.x]
+        sy = adj.add_vertex()
+        adj.add(sx, sy)
+        return sx, sy
     if isinstance(m, Subdivide):
         if m.x == m.z:
             raise MoveError(f"subdivide endpoints must differ in {m}")
         if not _in_range(adj, m.x, m.z):
             raise MoveError(f"vertex id out of range in {m}")
-        if not adj.has(m.x, m.z):
+        sx, sz = (m.x, m.z) if slot is None else (slot[m.x], slot[m.z])
+        if sz not in nbrs[sx]:
             raise MoveError(f"missing edge ({m.x}, {m.z}) for {m}")
         if m.y != adj.n:
             raise MoveError(f"new vertex must be {adj.n}, got {m.y}")
-        adj.add_vertex()
-        adj.remove(m.x, m.z)
-        adj.add(m.x, m.y)
-        adj.add(m.z, m.y)
-        return m.x, m.y, m.z
+        sy = adj.add_vertex()
+        adj.remove(sx, sz)
+        adj.add(sx, sy)
+        adj.add(sz, sy)
+        return sx, sy, sz
     if isinstance(m, RemoveLeaf):
         if not _in_range(adj, m.y, m.x):
             raise MoveError(f"vertex id out of range in {m}")
-        if adj.degree(m.y) != 1:
-            raise MoveError(f"vertex {m.y} has degree {adj.degree(m.y)}, not a leaf")
-        if not adj.has(m.y, m.x):
+        sy, sx = (m.y, m.x) if slot is None else (slot[m.y], slot[m.x])
+        if len(nbrs[sy]) != 1:
+            raise MoveError(f"vertex {m.y} has degree {len(nbrs[sy])}, not a leaf")
+        if sx not in nbrs[sy]:
             raise MoveError(f"anchor {m.x} is not the neighbor of leaf {m.y}")
         adj.remove_vertex(m.y)
-        return None
+        return ~sy, sx
     if isinstance(m, Smooth):
         y, x, z = m.y, m.x, m.z
         if not _in_range(adj, y, x, z):
             raise MoveError(f"vertex id out of range in {m}")
-        if adj.degree(y) != 2 or adj.nbrs[y] != {x, z}:
+        sy, sx, sz = (y, x, z) if slot is None else (slot[y], slot[x], slot[z])
+        if len(nbrs[sy]) != 2 or nbrs[sy] != {sx, sz}:
             raise MoveError(f"vertex {y} must have neighbors exactly {{{x}, {z}}}")
-        if adj.has(x, z):
+        if sz in nbrs[sx]:
             raise MoveError(f"vertices {x} and {z} already adjacent, smoothing would double the edge")
-        adj.add(x, z)
+        adj.add(sx, sz)
         adj.remove_vertex(y)
-        return None
+        return ~sy, sx, sz
     raise MoveError(f"unknown move {m!r}")
 
 
 def apply_move(g: Graph, m: Move) -> Graph:
     adj = Adj.from_graph(g)
     apply_move_adj(adj, m)
+    adj.compact()
     return adj.to_graph()
 
 
@@ -195,13 +212,19 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
     changes n and e together or not at all, it creates no loop or double
     edge, and it leaves a path between the ends of any edge it removes
     (x-z-y after ``S x y z``, x-y-z after ``SD x z y``, the new edge
-    after ``SM y x z``).  So after a slide, pendant or subdivision the
-    full check reads only the pairs the move wrote and the pair that keeps
-    that path: each must read the same from both ends, with no loop at
-    either.  A removal renumbers every set, so after ``RL`` and ``SM``,
-    and once after the last move, it checks the whole state.  A move
+    after ``SM y x z``); a leaf removal cannot disconnect the graph.
+    So after every move the full check reads only the pairs the move
+    wrote (see :func:`apply_move_adj`): each must read the same from
+    both ends, with no loop at either, and after ``RL`` and ``SM`` no
+    end may still list the removed vertex.  The whole state (degree sum,
+    characteristic, loops, entries for removed vertices, connectivity)
+    is checked on the start graph and once after the last move.  A move
     whose pairs fail the local check gets the whole-state check at once,
     so it is rejected at its own index with that check's message.
+
+    A removal costs the removed vertex's degree, not n + e: the replay
+    keeps every other neighbor set in place and translates the script's
+    ids at each move, and renumbers the sets once, after the last move.
     """
     return _replay_adj(g, script, check).to_graph()
 
@@ -220,10 +243,11 @@ def _replay_adj(g: Graph, script: Sequence[Move], check: str) -> Adj:
             wrote = apply_move_adj(adj, m)
         except MoveError as err:
             raise MoveError(str(err), index=i) from None
-        if full and (wrote is None or not _wrote_cleanly(adj.nbrs, wrote)):
+        if full and not _wrote_cleanly(adj.nbrs, wrote):
             _check_state(adj, chi0, i)
     if full and script:
         _check_state(adj, chi0, len(script) - 1)
+    adj.compact()
     return adj
 
 
@@ -246,24 +270,36 @@ def _verify_generated(
     return script
 
 
-def _wrote_cleanly(nbrs: list[set[int]], path: tuple[int, ...]) -> bool:
-    """The path :func:`apply_move_adj` returned reads the same from both
-    ends of each pair: its consecutive vertices are joined, the ends of
-    a three-vertex path are not, and no vertex on it has a loop."""
-    if len(path) == 2:
-        a, b = path
-        na, nb = nbrs[a], nbrs[b]
-        return b in na and a in nb and a not in na and b not in nb
-    a, b, c = path
-    na, nb, nc = nbrs[a], nbrs[b], nbrs[c]
-    return (
-        b in na and a in nb and c in nb and b in nc
-        and c not in na and a not in nc
-        and a not in na and b not in nb and c not in nc
-    )
+def _wrote_cleanly(nbrs: list[set[int] | None], path: tuple[int, ...]) -> bool:
+    """The pairs :func:`apply_move_adj` returned read the same from both
+    ends: a path's consecutive vertices are joined, the ends of a
+    three-vertex path are not, no vertex on it has a loop, and after a
+    removal no end still lists the dropped slot."""
+    if len(path) == 3:
+        a, b, c = path
+        if a < 0:
+            y = ~a
+            nb, nc = nbrs[b], nbrs[c]
+            return c in nb and b in nc and y not in nb and y not in nc and b not in nb and c not in nc
+        na, nb, nc = nbrs[a], nbrs[b], nbrs[c]
+        return (
+            b in na and a in nb and c in nb and b in nc
+            and c not in na and a not in nc
+            and a not in na and b not in nb and c not in nc
+        )
+    a, b = path
+    if a < 0:
+        return ~a not in nbrs[b]
+    na, nb = nbrs[a], nbrs[b]
+    return b in na and a in nb and a not in na and b not in nb
 
 
 def _check_state(adj: Adj, chi0: int, index: int) -> None:
+    """The whole-state check.  It renumbers the rows to the ids first,
+    which reads only the live rows; an entry for a removed vertex
+    becomes -1 there."""
+    adj.compact()
+    nbrs = adj.nbrs
     degs = adj.degrees()
     edge_count = sum(degs)
     if edge_count % 2:
@@ -273,8 +309,11 @@ def _check_state(adj: Adj, chi0: int, index: int) -> None:
     if chi != chi0:
         raise MoveError(f"Euler characteristic drifted from {chi0} to {chi}", index=index)
     for v in range(adj.n):
-        if v in adj.nbrs[v]:
+        if v in nbrs[v]:
             raise MoveError(f"loop created at vertex {v}", index=index)
+    for v in range(adj.n):
+        if -1 in nbrs[v]:
+            raise MoveError(f"inconsistent adjacency: vertex {v} lists a removed vertex", index=index)
     if not adj.connected():
         raise MoveError("graph disconnected", index=index)
 

@@ -275,6 +275,9 @@ def _peel(gG: Adj, gS: Adj, psi: list[int]) -> tuple[MoveScript, list[LevelTrace
         del smap[y_star]
         gG.remove_vertex(x_star)
         gS.remove_vertex(y_star)
+        # the next level reads both graphs by id
+        gG.compact()
+        gS.compact()
     # each level's goal repair is undone after every deeper level
     for appended in reversed(suffixes):
         out.extend(appended)

@@ -38,6 +38,78 @@ def hub_graph(n: int, extra: int, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def removal_walk(n: int, e: int, steps: int, rng: random.Random):
+    """A seeded legal script of all five move kinds from a random
+    connected graph on n vertices and e edges: half slides, and the rest
+    split between growth (AP, SD) and removal (RL, SM).  Each removal
+    takes one of the three smallest eligible ids, so most removals
+    renumber many vertices.  The state is kept here on plain neighbour
+    sets, renumbered on each removal, independently of ``Adj``.
+
+    Returns (start graph, moves, final graph)."""
+    from edgeslide import AddPendant, RemoveLeaf, Slide, Smooth, Subdivide
+
+    start = random_connected_graph(n, e, rng)
+    nb = [set(start.neighbors(v)) for v in range(n)]
+    moves = []
+
+    def drop(y):
+        for w in nb[y]:
+            nb[w].discard(y)
+        del nb[y]
+        nb[:] = [{w - (w > y) for w in s} for s in nb]
+
+    while len(moves) < steps:
+        r = rng.random()
+        n = len(nb)
+        if r < 0.5:
+            x = rng.randrange(n)
+            y = rng.choice(sorted(nb[x]))
+            zs = sorted(nb[y] - nb[x] - {x})
+            if not zs:
+                continue
+            z = rng.choice(zs)
+            nb[x].discard(y)
+            nb[y].discard(x)
+            nb[x].add(z)
+            nb[z].add(x)
+            moves.append(Slide(x, y, z))
+        elif r < 0.625:
+            x = rng.randrange(n)
+            nb.append({x})
+            nb[x].add(n)
+            moves.append(AddPendant(x, n))
+        elif r < 0.75:
+            x = rng.randrange(n)
+            z = rng.choice(sorted(nb[x]))
+            nb[x].discard(z)
+            nb[z].discard(x)
+            nb.append({x, z})
+            nb[x].add(n)
+            nb[z].add(n)
+            moves.append(Subdivide(x, z, n))
+        elif r < 0.875:
+            leaves = [v for v in range(n) if len(nb[v]) == 1][:3]
+            if not leaves:
+                continue
+            y = rng.choice(leaves)
+            (x,) = nb[y]
+            drop(y)
+            moves.append(RemoveLeaf(y, x))
+        else:
+            mids = [v for v in range(n) if len(nb[v]) == 2 and not nb[min(nb[v])] & {max(nb[v])}][:3]
+            if not mids:
+                continue
+            y = rng.choice(mids)
+            x, z = sorted(nb[y])
+            nb[x].add(z)
+            nb[z].add(x)
+            drop(y)
+            moves.append(Smooth(y, x, z))
+    final = Graph(len(nb), [(u, v) for u in range(len(nb)) for v in nb[u] if u < v])
+    return start, moves, final
+
+
 def nx_graph(g: Graph):
     """The same graph as a networkx.Graph, for independent cross-checks."""
     import networkx as nx

@@ -7,19 +7,28 @@ of ``move_edge``, of ``regularize`` (on small random graphs and on hub
 graphs at n = 200 and 300) and of ``transform_euler`` (with ``repr`` of
 its mapping) on seeded inputs.  A change that alters scripts on
 purpose updates the constants and says so in ``CHANGES.md``.
+
+``PINNED_WALKS`` pins the command line on removal-heavy walks instead:
+what ``replay --check fast -o`` writes, what ``verify --expect`` prints,
+and the error line for a corrupted copy.  Those bytes depend on the
+renumbering semantics of ``RL`` and ``SM``, not on any engine.
 """
 import hashlib
 import random
 
 from edgeslide import (
+    RemoveLeaf,
+    Smooth,
     move_edge,
     regularize,
+    serialize_graph,
     serialize_script,
     transform,
     transform_euler,
     transform_peel,
 )
-from helpers import hub_graph, legal_relocations, random_connected_graph
+from edgeslide.cli import run
+from helpers import hub_graph, legal_relocations, random_connected_graph, removal_walk
 
 PINNED = {
     "transform": "8032071f0824b31c789e88829719c8b09310ddb99b4349518e1c4d4c4f69c4b2",
@@ -35,6 +44,12 @@ PINNED_RESIZE = {
 # regularize on hub graphs (a star plus n extra edges): hundreds of steps
 # each, where the PINNED_RESIZE graphs (n <= 40) take a few dozen
 PINNED_HUB = "d172808118eb6509cb81005518f1e70a7959495ad21084209a3b5204ad987acf"
+
+PINNED_WALKS = {
+    "replay": "a8b0843e0befdad7ac8d499970c08da9b596a2892da689a34ee92b7d38a37b77",
+    "verify": "f4e671ef2ffa8010d3e4215751bb8b959073c310a7443ba5816c55dc899ffb55",
+    "reject": "c839de1d17b78f28884b10bdafc5084de11e785ae60c2c839723b2fa0b7bd24b",
+}
 
 
 def _pairs():
@@ -113,3 +128,37 @@ def test_regularize_on_hub_graphs_matches_pinned_digest():
     rng = random.Random(2026)
     hubs = [hub_graph(n, n, rng) for n in (200, 200, 300, 300)]
     assert _digest(serialize_script(regularize(g)) for g in hubs) == PINNED_HUB
+
+
+def _corrupted(moves):
+    """The walk with its first removal after the middle made illegal
+    where it stands: a leaf removal names a vertex that is not its
+    anchor, and a smoothing becomes a leaf removal of a degree-2 vertex."""
+    i = next(i for i in range(len(moves) // 2, len(moves)) if isinstance(moves[i], (RemoveLeaf, Smooth)))
+    m = moves[i]
+    bad = RemoveLeaf(m.y, m.x + 1 if m.x + 1 != m.y else m.x + 2) if isinstance(m, RemoveLeaf) else RemoveLeaf(m.y, m.x)
+    return moves[:i] + [bad] + moves[i + 1 :]
+
+
+def test_removal_walks_match_pinned_cli_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(2027)
+    replayed, verified, rejected = [], [], []
+    for k, n in enumerate((60, 150, 300)):
+        g, moves, final = removal_walk(n, 2 * n, 2 * n + 200, rng)
+        files = {
+            f"g{k}.elist": serialize_graph(g),
+            f"h{k}.elist": serialize_graph(final),
+            f"w{k}.moves": serialize_script(moves),
+            f"bad{k}.moves": serialize_script(_corrupted(moves)),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="ascii")
+        assert run(["replay", f"g{k}.elist", f"w{k}.moves", "--check", "fast", "-o", f"out{k}.elist"]) == 0
+        replayed.append((tmp_path / f"out{k}.elist").read_text(encoding="ascii"))
+        assert run(["verify", f"g{k}.elist", f"w{k}.moves", "--expect", f"h{k}.elist"]) == 0
+        verified.append(capsys.readouterr().out)
+        assert run(["verify", f"g{k}.elist", f"bad{k}.moves"]) == 1
+        rejected.append(capsys.readouterr().err)
+    got = {"replay": _digest(replayed), "verify": _digest(verified), "reject": _digest(rejected)}
+    assert got == PINNED_WALKS

@@ -18,12 +18,13 @@ from edgeslide import (
     Smooth,
     Subdivide,
     apply_move,
+    cycle_graph,
     identity_bijection,
     replay,
     transform,
 )
 from edgeslide._adj import Adj
-from edgeslide.moves import apply_move_adj
+from edgeslide.moves import _check_state, apply_move_adj
 from helpers import count_connectivity_checks, random_connected_graph, replay_checking_every_move
 
 SEEDS = range(24)
@@ -134,13 +135,30 @@ def _add_one_way(self, u, v):
     self.nbrs[u].add(v)
 
 
+_remove_vertex = Adj.remove_vertex
+
+
+def _row_of(adj, v):
+    # slots keep the order of ids, so the smallest slot is the smallest id
+    return v if adj.slot is None else adj.slot[v]
+
+
 def _remove_vertex_keeping_one_entry(self, y):
-    # the smallest neighbour keeps y, which renumbering maps onto y - 1
-    old = self.nbrs
-    for w in sorted(old[y])[1:]:
-        old[w].discard(y)
-    self.nbrs = [{w if w < y else w - 1 for w in old[v]} for v in range(self.n) if v != y]
-    self.n -= 1
+    # the smallest neighbour keeps its entry for y: y's dropped slot
+    s = _row_of(self, y)
+    keep = min(self.nbrs[s])
+    _remove_vertex(self, y)
+    self.nbrs[keep].add(s)
+
+
+def _remove_vertex_keeping_every_entry(self, y):
+    # every neighbour still lists y's dropped slot: after a smoothing
+    # the degree sum stays even
+    s = _row_of(self, y)
+    kept = set(self.nbrs[s])
+    _remove_vertex(self, y)
+    for w in kept:
+        self.nbrs[w].add(s)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +167,7 @@ def _remove_vertex_keeping_one_entry(self, y):
         ("slide", _slide_forgetting_reverse_entry, (Slide,)),
         ("add", _add_one_way, (AddPendant, Subdivide, Smooth)),
         ("remove_vertex", _remove_vertex_keeping_one_entry, (RemoveLeaf, Smooth)),
+        ("remove_vertex", _remove_vertex_keeping_every_entry, (RemoveLeaf, Smooth)),
     ],
 )
 def test_corrupted_adjacency_rejected_at_the_same_index(monkeypatch, method, corrupt, kinds):
@@ -166,7 +185,7 @@ def test_corrupted_adjacency_rejected_at_the_same_index(monkeypatch, method, cor
 
 def test_full_replay_runs_two_connectivity_checks(monkeypatch):
     # one on the start graph and one after the last move, however long
-    # the script: slides, pendants and subdivisions are checked locally
+    # the script: every kind is checked locally, removals included
     rng = random.Random(5)
     g = random_connected_graph(60, 120, rng)
     h = random_connected_graph(60, 120, rng)
@@ -178,9 +197,51 @@ def test_full_replay_runs_two_connectivity_checks(monkeypatch):
         m = rng.choice((AddPendant(x, grown.n), Subdivide(x, z, grown.n)))
         grown = apply_move(grown, m)
         script.append(m)
+    grown_script = list(script)
+    for _ in range(40):
+        nb = [set(grown.neighbors(v)) for v in range(grown.n)]
+        leaves = [RemoveLeaf(y, min(nb[y])) for y in range(grown.n) if len(nb[y]) == 1]
+        mids = [Smooth(y, *sorted(nb[y])) for y in range(grown.n) if len(nb[y]) == 2 and not grown.adjacent(*nb[y])]
+        m = rng.choice(rng.choice([k for k in (leaves[:3], mids[:3]) if k]))
+        grown = apply_move(grown, m)
+        script.append(m)
     assert len(slides) > 100
+    assert {RemoveLeaf, Smooth} <= {type(m) for m in script}
     calls = count_connectivity_checks(monkeypatch)
-    for part in (slides, script):
+    for part in (slides, grown_script, script):
         calls.clear()
-        replay(g, part, check="full")
+        assert replay(g, part, check="full") == replay(g, part)
         assert len(calls) == 2
+
+
+def test_removal_leaves_other_rows_in_place():
+    # no renumbering: every other row stays the same object, and only
+    # the anchor's row loses an entry
+    rng = random.Random(8)
+    g = random_connected_graph(40, 60, rng)
+    adj = Adj.from_graph(g)
+    y = min(v for v in range(g.n) if g.degree(v) == 1)
+    (x,) = g.neighbors(y)
+    rows = list(adj.nbrs)
+    before = [set(r) for r in rows]
+    apply_move_adj(adj, RemoveLeaf(y, x))
+    assert adj.n == g.n - 1 and adj.slot == [v for v in range(g.n) if v != y]
+    assert adj.nbrs[y] is None
+    assert all(adj.nbrs[w] is rows[w] for w in range(g.n) if w != y)
+    assert all(adj.nbrs[w] == before[w] for w in range(g.n) if w not in (x, y))
+    assert adj.nbrs[x] == before[x] - {y}
+    adj.compact()
+    assert adj.to_graph() == apply_move(g, RemoveLeaf(y, x))
+
+
+def test_whole_state_check_rejects_a_row_listing_a_removed_vertex():
+    # a dropped slot in one row and a missing entry in another keep the
+    # degree sum and the Euler characteristic; the check names the row
+    adj = Adj.from_graph(cycle_graph(5))
+    chi0 = adj.n - 5
+    apply_move_adj(adj, AddPendant(0, 5))
+    apply_move_adj(adj, RemoveLeaf(5, 0))
+    adj.nbrs[2].add(5)
+    adj.nbrs[2].discard(1)
+    with pytest.raises(MoveError, match="move 1: inconsistent adjacency: vertex 2 lists a removed vertex"):
+        _check_state(adj, chi0, 1)
