@@ -24,8 +24,8 @@ slot = id and ``slot`` is None, so the loops above and the engines read
 ``nbrs[v]`` directly.  The first removal makes ``slot`` the list of the
 live vertices' slots in id order, and each removal pops its vertex from
 that list, so the ids above it shift down by one, and touches only its
-neighbours' rows; its own row becomes None.  The move boundary
-(``moves.apply_move_adj``) translates a script's ids into slots, and
+neighbours' rows; its own row becomes None.  The move kernels in
+``moves`` translate a script's ids into slots, and
 :meth:`Adj.compact` renumbers the rows to the ids when a removed state
 must be read in id order.
 """
@@ -62,7 +62,7 @@ class Adj:
         self.nbrs[v].discard(u)
 
     def slide(self, x: int, y: int, z: int) -> None:
-        # {x,y} -> {x,z}; moves.apply_move_adj checks the preconditions
+        # {x,y} -> {x,z}; the slide kernel in moves checks the preconditions
         nx = self.nbrs[x]
         nx.discard(y)
         self.nbrs[y].discard(x)
@@ -115,9 +115,12 @@ class Adj:
         return out
 
     def to_graph(self):
+        """The state as a Graph, without validating it again: each row
+        holds only live ids, and each pair reads the same from both ends.
+        Call :meth:`compact` first after a removal."""
         from .graph import Graph
 
-        return Graph(self.n, self.sorted_edges())
+        return Graph._valid(self.n, tuple(self.sorted_edges()), tuple(map(frozenset, self.nbrs)))
 
     def _parents(self, root: int) -> list[int]:
         """BFS parent of each vertex, neighbors taken in ascending id

@@ -25,7 +25,6 @@ from .graph import (
     GraphError,
     ParseError,
     _maps_onto,
-    _parse_ints,
     _records,
     check_bijection,
     identity_bijection,
@@ -33,7 +32,7 @@ from .graph import (
     serialize_graph,
     stats,
 )
-from .moves import MoveError, _replay_adj, parse_script_lines, replay, serialize_script
+from .moves import MoveError, _parse_records, _replay_records, serialize_script
 from .oracle import format_census_table, reachability_census
 from .prescribe import transform
 from .regularize import regularize
@@ -95,10 +94,12 @@ def _parse_bijection(text: str, n: int) -> tuple[int, ...]:
     for lineno, parts in _records(text):
         if parts[0] != "m" or len(parts) != 3:
             raise ParseError(lineno, "expected 'm <src> <dst>'")
-        try:
-            src, dst = _parse_ints(parts[1:])
-        except ValueError:
-            raise ParseError(lineno, "expected nonnegative integers") from None
+        _, a, b = parts
+        ab = a + b
+        if not (ab.isdigit() and ab.isascii()):
+            raise ParseError(lineno, "expected nonnegative integers")
+        src = int(a)
+        dst = int(b)
         if src >= n:
             raise ParseError(lineno, f"source {src} out of range for n={n}")
         if src in mapping:
@@ -149,9 +150,9 @@ def _cmd_verify(args) -> int:
     if args.bijection is not None and args.expect is None:
         raise GraphError("--bijection needs --expect")
     g = _load(args.source, parse_graph)
-    script, lines = _load(args.script, parse_script_lines)
+    records, lines = _load(args.script, _parse_records)
     try:
-        final = _replay_adj(g, script, "full")
+        final = _replay_records(g, records, "full")
     except MoveError as err:
         return _rejected("verification failed", args.script, lines, err)
     if args.expect is not None:
@@ -160,15 +161,15 @@ def _cmd_verify(args) -> int:
         if not _maps_onto(final.nbrs, goal, psi):
             print("verification failed: replayed graph does not match the expected one", file=sys.stderr)
             return 1
-    print(f"OK: {len(script)} moves verified")
+    print(f"OK: {len(records)} moves verified")
     return 0
 
 
 def _cmd_replay(args) -> int:
     g = _load(args.source, parse_graph)
-    script, lines = _load(args.script, parse_script_lines)
+    records, lines = _load(args.script, _parse_records)
     try:
-        final = replay(g, script, check=args.check)
+        final = _replay_records(g, records, args.check).to_graph()
     except MoveError as err:
         return _rejected("replay rejected", args.script, lines, err)
     _emit(serialize_graph(final), args.output)

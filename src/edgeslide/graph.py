@@ -14,6 +14,7 @@ Canonical serialization sorts the edge lines lexicographically, so
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -60,7 +61,11 @@ class Graph:
     """A connected-or-not simple undirected graph on vertices 0..n-1.
 
     No loops, no multi-edges.  ``edges`` is the canonical sorted tuple of
-    ``(u, v)`` pairs with ``u < v``.
+    ``(u, v)`` pairs with ``u < v``.  ``Graph(n, edges)`` is the
+    validating constructor: it accepts the pairs in any order and either
+    orientation and raises ``GraphError`` on a loop, an id out of range
+    or a duplicate.  Data that is valid by construction (a parsed
+    document, a replayed state) skips that check through ``_valid``.
     """
 
     __slots__ = ("n", "edges", "_nbr_sets")
@@ -88,6 +93,18 @@ class Graph:
         self._nbr_sets = tuple(frozenset(s) for s in sets)
         if __debug__:
             assert sum(len(s) for s in self._nbr_sets) == 2 * len(self.edges)
+
+    @classmethod
+    def _valid(cls, n: int, edges: tuple[tuple[int, int], ...], nbr_sets: tuple[frozenset[int], ...]) -> "Graph":
+        """A Graph from data that is already valid, checked by nothing
+        again: n >= 1, ``edges`` the sorted ``(u, v)`` pairs with u < v,
+        and ``nbr_sets`` the matching neighbor sets.  ``parse_graph`` and
+        ``Adj.to_graph`` build their graphs here."""
+        g = object.__new__(cls)
+        g.n = n
+        g.edges = edges
+        g._nbr_sets = nbr_sets
+        return g
 
     @property
     def e(self) -> int:
@@ -122,75 +139,87 @@ class Graph:
 # .elist parsing and serialization
 
 
-def _parse_ints(tokens: Sequence[str]) -> list[int]:
-    """Integers from ``str.split()`` tokens written in ASCII digits only.
-
-    ``int()`` alone also accepts signs, underscores (``1_0`` is 10) and
-    non-ASCII digits; any such token raises ValueError here.  Split
-    tokens are never empty, so checking them joined checks each one.
-    """
-    joined = "".join(tokens)
-    if not (joined.isdigit() and joined.isascii()):
-        raise ValueError(f"not nonnegative decimal integers: {tokens!r}")
-    return list(map(int, tokens))
-
-
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:
-    """``(lineno, fields)`` for each line of text that is neither blank
-    nor a ``#`` comment, counting lines from 1.  The one line syntax of
-    the ``.elist``, ``.moves`` and bijection formats."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    r"""``(lineno, fields)`` for each line of text that is neither blank
+    nor a ``#`` comment.  The one line syntax of the ``.elist``,
+    ``.moves`` and bijection formats.  Lines end at ``\n`` only and are
+    counted from 1; every other whitespace character, ``\r`` included,
+    only separates fields, so a comment runs to the end of its line."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
-        if parts and not parts[0].startswith("#"):
+        if parts and parts[0][0] != "#":
             yield lineno, parts
 
 
+def _last_line(text: str) -> int:
+    """The number of the last line of text, as :func:`_records` counts
+    them, and 1 for empty text: where an error about the whole document
+    points."""
+    return max(text.count("\n") + (not text.endswith("\n")), 1)
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse an ``.elist`` document.  Errors name the offending line; an
-    error about the whole document names its last line."""
+    """Parse an ``.elist`` document in one pass over its lines.  Errors
+    name the offending line; an error about the whole document names its
+    last line.
+
+    A field is an integer only when it is written in ASCII digits:
+    ``int()`` alone would also accept signs, underscores (``1_0`` is 10)
+    and other digits.  Each edge is checked once, here, against the
+    header and the neighbor sets built so far, which also catch
+    duplicates; the sets are per vertex seen, so a header's vertex count
+    allocates nothing until the document is valid."""
     n = e = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    nbrs: defaultdict[int, set[int]] = defaultdict(set)
     for lineno, parts in _records(text):
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError(lineno, "duplicate header")
-            if len(parts) != 3:
-                raise ParseError(lineno, "malformed header, expected 'p <n> <e>'")
-            try:
-                n, e = _parse_ints(parts[1:])
-            except ValueError:
-                raise ParseError(lineno, "malformed header, expected nonnegative integers") from None
-            if n < 1:
-                raise ParseError(lineno, "vertex count must be positive")
-        elif parts[0] == "e":
+        tag = parts[0]
+        if tag == "e":
             if n is None:
                 raise ParseError(lineno, "edge line before header")
             if len(parts) != 3:
                 raise ParseError(lineno, "malformed edge line, expected 'e <u> <v>'")
-            try:
-                u, v = _parse_ints(parts[1:])
-            except ValueError:
-                raise ParseError(lineno, "malformed edge line, expected nonnegative integers") from None
+            _, a, b = parts
+            ab = a + b
+            if not (ab.isdigit() and ab.isascii()):
+                raise ParseError(lineno, "malformed edge line, expected nonnegative integers")
+            u = int(a)
+            v = int(b)
             if u == v:
                 raise ParseError(lineno, f"loop edge at vertex {u}")
             if u >= n or v >= n:
                 raise ParseError(lineno, f"vertex id out of range for n={n}")
             if u > v:
                 raise ParseError(lineno, "edge endpoints must satisfy u < v")
-            if (u, v) in seen:
+            nu = nbrs[u]
+            if v in nu:
                 raise ParseError(lineno, f"duplicate edge ({u}, {v})")
             if len(edges) == e:
                 raise ParseError(lineno, f"more than {e} edge lines")
-            seen.add((u, v))
+            nu.add(v)
+            nbrs[v].add(u)
             edges.append((u, v))
+        elif tag == "p":
+            if n is not None:
+                raise ParseError(lineno, "duplicate header")
+            if len(parts) != 3:
+                raise ParseError(lineno, "malformed header, expected 'p <n> <e>'")
+            _, a, b = parts
+            ab = a + b
+            if not (ab.isdigit() and ab.isascii()):
+                raise ParseError(lineno, "malformed header, expected nonnegative integers")
+            n = int(a)
+            e = int(b)
+            if n < 1:
+                raise ParseError(lineno, "vertex count must be positive")
         else:
-            raise ParseError(lineno, f"unrecognized line kind {parts[0]!r}")
+            raise ParseError(lineno, f"unrecognized line kind {tag!r}")
     if n is None:
-        raise ParseError(max(len(text.splitlines()), 1), "missing 'p <n> <e>' header")
+        raise ParseError(_last_line(text), "missing 'p <n> <e>' header")
     if len(edges) != e:
-        raise ParseError(max(len(text.splitlines()), 1), f"expected {e} edge lines, found {len(edges)}")
-    return Graph(n, edges)
+        raise ParseError(_last_line(text), f"expected {e} edge lines, found {len(edges)}")
+    edges.sort()
+    return Graph._valid(n, tuple(edges), tuple([frozenset(nbrs.get(v, ())) for v in range(n)]))
 
 
 def serialize_graph(g: Graph) -> str:

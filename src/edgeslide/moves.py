@@ -15,10 +15,16 @@ rebuild anything to renumber: ``Adj`` keeps each vertex's row in a
 stable slot, a removal touches only the removed vertex's neighbours, and
 each move translates its ids into slots.
 
-:func:`apply_move_adj` is where each kind is defined: its precondition
-and rejection message, its effect, and the pairs it wrote, which the
-full-check replay reads.  Replay, verification and the engines' slides
-all apply moves through it.
+Each kind is defined once, by its kernel (``_slide``, ``_add_pendant``,
+``_subdivide``, ``_remove_leaf``, ``_smooth``): ``kernel(adj, *ids)``
+holds the kind's precondition and rejection message, its effect, and
+the pairs it wrote, which the full-check replay reads.  ``_TAGS`` maps
+each tag to its class, kernel and arity.  :func:`apply_move_adj` runs
+the kernel of a Move's kind; the engines' slides go through it.  Replay
+and verification run one loop over ``(kernel, ids)`` records: a Move
+script gives them through ``_record``, and ``.moves`` text through one
+parser that builds no Move object, so checking a certificate file
+costs a tuple per move.
 
 The ``.moves`` text format has one move per line (``#`` comments allowed),
 the tag from ``_TAGS`` and then the fields in declared order::
@@ -29,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from ._adj import Adj
-from .graph import Graph, GraphError, ParseError, _maps_onto, _parse_ints, _records, check_bijection
+from .graph import Graph, GraphError, ParseError, _maps_onto, _records, check_bijection
 
 __all__ = [
     "Slide",
@@ -98,98 +104,161 @@ class MoveError(GraphError):
         super().__init__(message)
 
 
-def _in_range(adj: Adj, *vs: int) -> bool:
-    n = adj.n
+def _in_range(n: int, *vs) -> bool:
+    """Every id is an int in 0..n-1.  The kernels check plain ints
+    inline and call this only for other ids, or to reject."""
     for v in vs:
         if not isinstance(v, int) or not 0 <= v < n:
             return False
     return True
 
 
-def apply_move_adj(adj: Adj, m: Move) -> tuple[int, ...]:
-    """Check one move against adj, apply it, and return the pairs it wrote.
+# The move kernels, one per kind: ``kernel(adj, *ids)`` checks the move
+# against adj, applies it, and returns the pairs it wrote.  Each holds
+# its kind's precondition, with the message that rejects it, its effect
+# through the ``Adj`` primitives, and the pairs the full check reads
+# after it.  A rejected move raises ``MoveError`` and leaves adj as it
+# was; only a rejection builds the move's repr for its message.  Each
+# kernel translates the script's ids into adj's slots once, after its
+# range checks; messages name the script's ids.
+#
+# The pairs are slots, in one flat tuple read by :func:`_wrote_cleanly`.
+# A slide or subdivision returns a path ``(a, b, c)``: a-b and b-c must
+# now be edges and a-c must not, so the path keeps the ends of the
+# removed edge a-c joined.  A pendant removes no edge and returns its
+# one new edge ``(a, b)``.  A removal returns ``~y`` for the dropped
+# slot y (negative, so it reads as neither of those), then the leaf's
+# anchor, or the ends of the smoothing's new edge.
 
-    This is the one definition of the move kinds: each kind's branch
-    holds its precondition, with the message that rejects it, its effect
-    on the neighbor sets, and the pairs the full check reads after it.
-    A rejected move raises ``MoveError`` and leaves adj as it was.  Each
-    branch translates the script's ids into adj's slots once, after its
-    range checks; messages name the script's ids.
 
-    The pairs are slots, in one flat tuple read by :func:`_wrote_cleanly`.
-    A slide or subdivision returns a path ``(a, b, c)``: a-b and b-c must
-    now be edges and a-c must not, so the path keeps the ends of the
-    removed edge a-c joined.  A pendant removes no edge and returns its
-    one new edge ``(a, b)``.  A removal returns ``~y`` for the dropped
-    slot y (negative, so it reads as neither of those), then the leaf's
-    anchor, or the ends of the smoothing's new edge.
-    """
+def _slide(adj: Adj, x, y, z) -> tuple[int, ...]:
+    n = adj.n
+    ints = type(x) is int and type(y) is int and type(z) is int
+    if (x == y or y == z or x == z) if ints else len({x, y, z}) != 3:
+        raise MoveError(f"slide vertices must be distinct, got {Slide(x, y, z)}")
+    if not (ints and 0 <= x < n and 0 <= y < n and 0 <= z < n or _in_range(n, x, y, z)):
+        raise MoveError(f"vertex id out of range in {Slide(x, y, z)}")
     nbrs, slot = adj.nbrs, adj.slot
-    if isinstance(m, Slide):
-        x, y, z = m.x, m.y, m.z
-        if len({x, y, z}) != 3:
-            raise MoveError(f"slide vertices must be distinct, got {m}")
-        if not _in_range(adj, x, y, z):
-            raise MoveError(f"vertex id out of range in {m}")
-        if slot is None:  # the common case, spelled out: slides dominate replay
-            sx, sy, sz = x, y, z
-        else:
-            sx, sy, sz = slot[x], slot[y], slot[z]
-        if sy not in nbrs[sx]:
-            raise MoveError(f"missing edge ({x}, {y}) for {m}")
-        if sz not in nbrs[sy]:
-            raise MoveError(f"missing edge ({y}, {z}) for {m}")
-        if sz in nbrs[sx]:
-            raise MoveError(f"vertices {x} and {z} already adjacent in {m}")
-        adj.slide(sx, sy, sz)
-        return sx, sz, sy
-    if isinstance(m, AddPendant):
-        if not _in_range(adj, m.x):
-            raise MoveError(f"anchor {m.x} out of range in {m}")
-        if m.y != adj.n:
-            raise MoveError(f"new vertex must be {adj.n}, got {m.y}")
-        sx = m.x if slot is None else slot[m.x]
-        sy = adj.add_vertex()
-        adj.add(sx, sy)
-        return sx, sy
-    if isinstance(m, Subdivide):
-        if m.x == m.z:
-            raise MoveError(f"subdivide endpoints must differ in {m}")
-        if not _in_range(adj, m.x, m.z):
-            raise MoveError(f"vertex id out of range in {m}")
-        sx, sz = (m.x, m.z) if slot is None else (slot[m.x], slot[m.z])
-        if sz not in nbrs[sx]:
-            raise MoveError(f"missing edge ({m.x}, {m.z}) for {m}")
-        if m.y != adj.n:
-            raise MoveError(f"new vertex must be {adj.n}, got {m.y}")
-        sy = adj.add_vertex()
-        adj.remove(sx, sz)
-        adj.add(sx, sy)
-        adj.add(sz, sy)
-        return sx, sy, sz
-    if isinstance(m, RemoveLeaf):
-        if not _in_range(adj, m.y, m.x):
-            raise MoveError(f"vertex id out of range in {m}")
-        sy, sx = (m.y, m.x) if slot is None else (slot[m.y], slot[m.x])
-        if len(nbrs[sy]) != 1:
-            raise MoveError(f"vertex {m.y} has degree {len(nbrs[sy])}, not a leaf")
-        if sx not in nbrs[sy]:
-            raise MoveError(f"anchor {m.x} is not the neighbor of leaf {m.y}")
-        adj.remove_vertex(m.y)
-        return ~sy, sx
-    if isinstance(m, Smooth):
-        y, x, z = m.y, m.x, m.z
-        if not _in_range(adj, y, x, z):
-            raise MoveError(f"vertex id out of range in {m}")
-        sy, sx, sz = (y, x, z) if slot is None else (slot[y], slot[x], slot[z])
-        if len(nbrs[sy]) != 2 or nbrs[sy] != {sx, sz}:
-            raise MoveError(f"vertex {y} must have neighbors exactly {{{x}, {z}}}")
-        if sz in nbrs[sx]:
-            raise MoveError(f"vertices {x} and {z} already adjacent, smoothing would double the edge")
-        adj.add(sx, sz)
-        adj.remove_vertex(y)
-        return ~sy, sx, sz
+    if slot is None:  # the common case, spelled out: slides dominate replay
+        sx, sy, sz = x, y, z
+    else:
+        sx, sy, sz = slot[x], slot[y], slot[z]
+    if sy not in nbrs[sx]:
+        raise MoveError(f"missing edge ({x}, {y}) for {Slide(x, y, z)}")
+    if sz not in nbrs[sy]:
+        raise MoveError(f"missing edge ({y}, {z}) for {Slide(x, y, z)}")
+    if sz in nbrs[sx]:
+        raise MoveError(f"vertices {x} and {z} already adjacent in {Slide(x, y, z)}")
+    adj.slide(sx, sy, sz)
+    return sx, sz, sy
+
+
+def _add_pendant(adj: Adj, x, y) -> tuple[int, ...]:
+    n = adj.n
+    if not (type(x) is int and 0 <= x < n or _in_range(n, x)):
+        raise MoveError(f"anchor {x} out of range in {AddPendant(x, y)}")
+    if y != n:
+        raise MoveError(f"new vertex must be {n}, got {y}")
+    sx = x if adj.slot is None else adj.slot[x]
+    sy = adj.add_vertex()
+    adj.add(sx, sy)
+    return sx, sy
+
+
+def _subdivide(adj: Adj, x, z, y) -> tuple[int, ...]:
+    n = adj.n
+    if x == z:
+        raise MoveError(f"subdivide endpoints must differ in {Subdivide(x, z, y)}")
+    if not (type(x) is int and type(z) is int and 0 <= x < n and 0 <= z < n or _in_range(n, x, z)):
+        raise MoveError(f"vertex id out of range in {Subdivide(x, z, y)}")
+    slot = adj.slot
+    sx, sz = (x, z) if slot is None else (slot[x], slot[z])
+    if sz not in adj.nbrs[sx]:
+        raise MoveError(f"missing edge ({x}, {z}) for {Subdivide(x, z, y)}")
+    if y != n:
+        raise MoveError(f"new vertex must be {n}, got {y}")
+    sy = adj.add_vertex()
+    adj.remove(sx, sz)
+    adj.add(sx, sy)
+    adj.add(sz, sy)
+    return sx, sy, sz
+
+
+def _remove_leaf(adj: Adj, y, x) -> tuple[int, ...]:
+    n = adj.n
+    if not (type(y) is int and type(x) is int and 0 <= y < n and 0 <= x < n or _in_range(n, y, x)):
+        raise MoveError(f"vertex id out of range in {RemoveLeaf(y, x)}")
+    slot = adj.slot
+    sy, sx = (y, x) if slot is None else (slot[y], slot[x])
+    ny = adj.nbrs[sy]
+    if len(ny) != 1:
+        raise MoveError(f"vertex {y} has degree {len(ny)}, not a leaf")
+    if sx not in ny:
+        raise MoveError(f"anchor {x} is not the neighbor of leaf {y}")
+    adj.remove_vertex(y)
+    return ~sy, sx
+
+
+def _smooth(adj: Adj, y, x, z) -> tuple[int, ...]:
+    n = adj.n
+    if not (
+        type(y) is int and type(x) is int and type(z) is int and 0 <= y < n and 0 <= x < n and 0 <= z < n
+        or _in_range(n, y, x, z)
+    ):
+        raise MoveError(f"vertex id out of range in {Smooth(y, x, z)}")
+    nbrs, slot = adj.nbrs, adj.slot
+    sy, sx, sz = (y, x, z) if slot is None else (slot[y], slot[x], slot[z])
+    if len(nbrs[sy]) != 2 or nbrs[sy] != {sx, sz}:
+        raise MoveError(f"vertex {y} must have neighbors exactly {{{x}, {z}}}")
+    if sz in nbrs[sx]:
+        raise MoveError(f"vertices {x} and {z} already adjacent, smoothing would double the edge")
+    adj.add(sx, sz)
+    adj.remove_vertex(y)
+    return ~sy, sx, sz
+
+
+def _unknown(adj: Adj, m) -> tuple[int, ...]:
     raise MoveError(f"unknown move {m!r}")
+
+
+# The one kind table: tag -> (class, kernel, arity).  A ``.moves`` line
+# holds a kind's tag, then its fields in their declared order: ``SD x z
+# y`` for ``Subdivide(x, z, y)``.  The tables after it are read off it.
+_TAGS = {
+    tag: (cls, kernel, len(fields(cls)))
+    for tag, cls, kernel in (
+        ("S", Slide, _slide),
+        ("AP", AddPendant, _add_pendant),
+        ("SD", Subdivide, _subdivide),
+        ("RL", RemoveLeaf, _remove_leaf),
+        ("SM", Smooth, _smooth),
+    )
+}
+# class -> (kernel, its fields' values, its .moves line template)
+_KINDS = {
+    cls: (kernel, attrgetter(*(f.name for f in fields(cls))), tag + " %s" * arity + "\n")
+    for tag, (cls, kernel, arity) in _TAGS.items()
+}
+_CLASS_OF = {kernel: cls for cls, kernel, _ in _TAGS.values()}
+
+
+def _record(m: Move) -> tuple:
+    """The ``(kernel, ids)`` record of a Move; a value of no move kind
+    gets a kernel that rejects it."""
+    kind = _KINDS.get(type(m))
+    if kind is None:
+        return _unknown, (m,)
+    return kind[0], kind[1](m)
+
+
+def apply_move_adj(adj: Adj, m: Move) -> tuple[int, ...]:
+    """Check one move against adj, apply it, and return the pairs it
+    wrote: the kernel of m's kind, looked up by type, on m's fields.
+    The kernels above are where each kind is defined."""
+    kind = _KINDS.get(type(m))
+    if kind is None:
+        return _unknown(adj, m)
+    return kind[0](adj, *kind[1](m))
 
 
 def apply_move(g: Graph, m: Move) -> Graph:
@@ -214,7 +283,7 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
     (x-z-y after ``S x y z``, x-y-z after ``SD x z y``, the new edge
     after ``SM y x z``); a leaf removal cannot disconnect the graph.
     So after every move the full check reads only the pairs the move
-    wrote (see :func:`apply_move_adj`): each must read the same from
+    wrote (see the move kernels): each must read the same from
     both ends, with no loop at either, and after ``RL`` and ``SM`` no
     end may still list the removed vertex.  The whole state (degree sum,
     characteristic, loops, entries for removed vertices, connectivity)
@@ -231,6 +300,15 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
 
 def _replay_adj(g: Graph, script: Sequence[Move], check: str) -> Adj:
     """:func:`replay`, returning the final state as an ``Adj``."""
+    return _replay_records(g, map(_record, script), check)
+
+
+def _replay_records(g: Graph, records: Iterable[tuple], check: str) -> Adj:
+    """The one replay loop: apply each ``(kernel, ids)`` record to the
+    state of g in turn, with :func:`replay`'s checks, and return the
+    final state.  A rejected record raises ``MoveError`` with its index.
+    Move scripts come here through :func:`_record`, and ``.moves`` text
+    through :func:`_parse_records` with no Move object built."""
     if check not in ("fast", "full"):
         raise ValueError(f"check must be 'fast' or 'full', got {check!r}")
     full = check == "full"
@@ -238,15 +316,16 @@ def _replay_adj(g: Graph, script: Sequence[Move], check: str) -> Adj:
     chi0 = g.n - g.e
     if full and not adj.connected():
         raise GraphError("full replay requires a connected start graph")
-    for i, m in enumerate(script):
+    i = -1
+    for i, (kernel, ids) in enumerate(records):
         try:
-            wrote = apply_move_adj(adj, m)
+            wrote = kernel(adj, *ids)
         except MoveError as err:
             raise MoveError(str(err), index=i) from None
         if full and not _wrote_cleanly(adj.nbrs, wrote):
             _check_state(adj, chi0, i)
-    if full and script:
-        _check_state(adj, chi0, len(script) - 1)
+    if full and i >= 0:
+        _check_state(adj, chi0, i)
     adj.compact()
     return adj
 
@@ -271,7 +350,7 @@ def _verify_generated(
 
 
 def _wrote_cleanly(nbrs: list[set[int] | None], path: tuple[int, ...]) -> bool:
-    """The pairs :func:`apply_move_adj` returned read the same from both
+    """The pairs a move kernel returned read the same from both
     ends: a path's consecutive vertices are joined, the ends of a
     three-vertex path are not, no vertex on it has a loop, and after a
     removal no end still lists the dropped slot."""
@@ -321,38 +400,33 @@ def _check_state(adj: Adj, chi0: int, index: int) -> None:
 # ---------------------------------------------------------------------------
 # .moves text format
 
-# The one tag table.  A line holds a kind's tag, then its fields in their
-# declared order: ``SD x z y`` for ``Subdivide(x, z, y)``.
-_TAGS = {
-    tag: (cls, len(fields(cls)))
-    for tag, cls in (
-        ("S", Slide), ("AP", AddPendant), ("SD", Subdivide), ("RL", RemoveLeaf), ("SM", Smooth)
-    )
-}
-_LINES = {
-    cls: (tag + " %s" * arity + "\n", attrgetter(*(f.name for f in fields(cls))))
-    for tag, (cls, arity) in _TAGS.items()
-}
+def _parse_records(text: str) -> tuple[list[tuple], list[int]]:
+    """The one ``.moves`` parser: a ``(kernel, ids)`` record per move,
+    read off ``_TAGS``, and each move's line number.  A field is an
+    integer only when it is written in ASCII digits."""
+    records: list[tuple] = []
+    lines: list[int] = []
+    for lineno, parts in _records(text):
+        tag = parts[0]
+        entry = _TAGS.get(tag)
+        if entry is None:
+            raise ParseError(lineno, f"unknown move tag {tag!r}")
+        _, kernel, arity = entry
+        if len(parts) != arity + 1:
+            raise ParseError(lineno, f"{tag} takes {arity} integers")
+        del parts[0]
+        joined = "".join(parts)
+        if not (joined.isdigit() and joined.isascii()):
+            raise ParseError(lineno, "move arguments must be nonnegative integers")
+        records.append((kernel, tuple(map(int, parts))))
+        lines.append(lineno)
+    return records, lines
 
 
 def parse_script_lines(text: str) -> tuple[MoveScript, tuple[int, ...]]:
     """Parse a ``.moves`` document, also returning each move's line number."""
-    moves: list[Move] = []
-    lines: list[int] = []
-    for lineno, parts in _records(text):
-        entry = _TAGS.get(parts[0])
-        if entry is None:
-            raise ParseError(lineno, f"unknown move tag {parts[0]!r}")
-        cls, arity = entry
-        if len(parts) != arity + 1:
-            raise ParseError(lineno, f"{parts[0]} takes {arity} integers")
-        try:
-            args = _parse_ints(parts[1:])
-        except ValueError:
-            raise ParseError(lineno, "move arguments must be nonnegative integers") from None
-        moves.append(cls(*args))
-        lines.append(lineno)
-    return tuple(moves), tuple(lines)
+    records, lines = _parse_records(text)
+    return tuple([_CLASS_OF[kernel](*ids) for kernel, ids in records]), tuple(lines)
 
 
 def parse_script(text: str) -> MoveScript:
@@ -363,7 +437,7 @@ def serialize_script(script: Sequence[Move]) -> str:
     lines = []
     for m in script:
         try:
-            template, values = _LINES[type(m)]
+            _, values, template = _KINDS[type(m)]
         except KeyError:
             raise GraphError(f"cannot serialize {m!r}") from None
         lines.append(template % values(m))

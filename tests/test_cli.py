@@ -156,14 +156,22 @@ def _assert_one_error_line(code, capsys, expected=2, path=None):
 
 
 def test_generating_commands_apply_each_move_once(files, monkeypatch):
-    # the one full-check replay that verifies the script applies each
-    # emitted move once; euler-transform also replays the pendants that
-    # build its intermediate graph, one per vertex of the order change
+    # the one full-check replay that verifies the script calls each
+    # emitted move's kernel once; euler-transform also replays the
+    # pendants that build its intermediate graph, one per vertex of the
+    # order change
     from edgeslide import moves
 
     applied = []
-    original = moves.apply_move_adj
-    monkeypatch.setattr(moves, "apply_move_adj", lambda adj, m: applied.append(m) or original(adj, m))
+    original = moves._replay_records
+
+    def counted(kernel):
+        return lambda adj, *ids: applied.append(ids) or kernel(adj, *ids)
+
+    monkeypatch.setattr(
+        moves, "_replay_records",
+        lambda g, records, check: original(g, ((counted(k), ids) for k, ids in records), check),
+    )
     tmp, write = files
     out = tmp / "s.moves"
     cases = [
