@@ -25,6 +25,7 @@ from .graph import (
     GraphError,
     ParseError,
     _maps_onto,
+    _parse_ints,
     _records,
     check_bijection,
     identity_bijection,
@@ -94,12 +95,10 @@ def _parse_bijection(text: str, n: int) -> tuple[int, ...]:
     for lineno, parts in _records(text):
         if parts[0] != "m" or len(parts) != 3:
             raise ParseError(lineno, "expected 'm <src> <dst>'")
-        _, a, b = parts
-        ab = a + b
-        if not (ab.isdigit() and ab.isascii()):
-            raise ParseError(lineno, "expected nonnegative integers")
-        src = int(a)
-        dst = int(b)
+        try:
+            src, dst = _parse_ints(parts[1:])
+        except ValueError:
+            raise ParseError(lineno, "expected nonnegative integers") from None
         if src >= n:
             raise ParseError(lineno, f"source {src} out of range for n={n}")
         if src in mapping:

@@ -104,6 +104,8 @@ class Graph:
         g.n = n
         g.edges = edges
         g._nbr_sets = nbr_sets
+        if __debug__:
+            assert sum(map(len, nbr_sets)) == 2 * len(edges)
         return g
 
     @property
@@ -139,6 +141,21 @@ class Graph:
 # .elist parsing and serialization
 
 
+def _parse_ints(tokens: Sequence[str]) -> list[int]:
+    """Integers from ``str.split()`` tokens written in ASCII digits only.
+
+    ``int()`` alone also accepts signs, underscores (``1_0`` is 10) and
+    non-ASCII digits; any such token raises ValueError here.  Split
+    tokens are never empty, so checking them joined checks each one.
+    The ``e`` lines here and the ``.moves`` lines spell this check out
+    inline, since they are parsed once per line of a large file.
+    """
+    joined = "".join(tokens)
+    if not (joined.isdigit() and joined.isascii()):
+        raise ValueError(f"not nonnegative decimal integers: {tokens!r}")
+    return list(map(int, tokens))
+
+
 def _records(text: str) -> Iterator[tuple[int, list[str]]]:
     r"""``(lineno, fields)`` for each line of text that is neither blank
     nor a ``#`` comment.  The one line syntax of the ``.elist``,
@@ -163,10 +180,9 @@ def parse_graph(text: str) -> Graph:
     name the offending line; an error about the whole document names its
     last line.
 
-    A field is an integer only when it is written in ASCII digits:
-    ``int()`` alone would also accept signs, underscores (``1_0`` is 10)
-    and other digits.  Each edge is checked once, here, against the
-    header and the neighbor sets built so far, which also catch
+    A field is an integer only when it is written in ASCII digits, as
+    :func:`_parse_ints` checks.  Each edge is checked once, here, against
+    the header and the neighbor sets built so far, which also catch
     duplicates; the sets are per vertex seen, so a header's vertex count
     allocates nothing until the document is valid."""
     n = e = None
@@ -180,7 +196,7 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 3:
                 raise ParseError(lineno, "malformed edge line, expected 'e <u> <v>'")
             _, a, b = parts
-            ab = a + b
+            ab = a + b  # _parse_ints, inlined
             if not (ab.isdigit() and ab.isascii()):
                 raise ParseError(lineno, "malformed edge line, expected nonnegative integers")
             u = int(a)
@@ -204,12 +220,10 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(lineno, "duplicate header")
             if len(parts) != 3:
                 raise ParseError(lineno, "malformed header, expected 'p <n> <e>'")
-            _, a, b = parts
-            ab = a + b
-            if not (ab.isdigit() and ab.isascii()):
-                raise ParseError(lineno, "malformed header, expected nonnegative integers")
-            n = int(a)
-            e = int(b)
+            try:
+                n, e = _parse_ints(parts[1:])
+            except ValueError:
+                raise ParseError(lineno, "malformed header, expected nonnegative integers") from None
             if n < 1:
                 raise ParseError(lineno, "vertex count must be positive")
         else:

@@ -104,23 +104,16 @@ class MoveError(GraphError):
         super().__init__(message)
 
 
-def _in_range(n: int, *vs) -> bool:
-    """Every id is an int in 0..n-1.  The kernels check plain ints
-    inline and call this only for other ids, or to reject."""
-    for v in vs:
-        if not isinstance(v, int) or not 0 <= v < n:
-            return False
-    return True
-
-
 # The move kernels, one per kind: ``kernel(adj, *ids)`` checks the move
 # against adj, applies it, and returns the pairs it wrote.  Each holds
 # its kind's precondition, with the message that rejects it, its effect
 # through the ``Adj`` primitives, and the pairs the full check reads
 # after it.  A rejected move raises ``MoveError`` and leaves adj as it
-# was; only a rejection builds the move's repr for its message.  Each
-# kernel translates the script's ids into adj's slots once, after its
-# range checks; messages name the script's ids.
+# was; only a rejection builds the move's repr for its message.  An id
+# is in range only when it is a plain int in 0..n-1, so any other value
+# (a bool, a float, a string) is rejected as out of range.  Each kernel
+# translates the script's ids into adj's slots once, after its range
+# checks; messages name the script's ids.
 #
 # The pairs are slots, in one flat tuple read by :func:`_wrote_cleanly`.
 # A slide or subdivision returns a path ``(a, b, c)``: a-b and b-c must
@@ -133,10 +126,9 @@ def _in_range(n: int, *vs) -> bool:
 
 def _slide(adj: Adj, x, y, z) -> tuple[int, ...]:
     n = adj.n
-    ints = type(x) is int and type(y) is int and type(z) is int
-    if (x == y or y == z or x == z) if ints else len({x, y, z}) != 3:
+    if x == y or y == z or x == z:
         raise MoveError(f"slide vertices must be distinct, got {Slide(x, y, z)}")
-    if not (ints and 0 <= x < n and 0 <= y < n and 0 <= z < n or _in_range(n, x, y, z)):
+    if not (type(x) is int and type(y) is int and type(z) is int and 0 <= x < n and 0 <= y < n and 0 <= z < n):
         raise MoveError(f"vertex id out of range in {Slide(x, y, z)}")
     nbrs, slot = adj.nbrs, adj.slot
     if slot is None:  # the common case, spelled out: slides dominate replay
@@ -155,7 +147,7 @@ def _slide(adj: Adj, x, y, z) -> tuple[int, ...]:
 
 def _add_pendant(adj: Adj, x, y) -> tuple[int, ...]:
     n = adj.n
-    if not (type(x) is int and 0 <= x < n or _in_range(n, x)):
+    if not (type(x) is int and 0 <= x < n):
         raise MoveError(f"anchor {x} out of range in {AddPendant(x, y)}")
     if y != n:
         raise MoveError(f"new vertex must be {n}, got {y}")
@@ -169,7 +161,7 @@ def _subdivide(adj: Adj, x, z, y) -> tuple[int, ...]:
     n = adj.n
     if x == z:
         raise MoveError(f"subdivide endpoints must differ in {Subdivide(x, z, y)}")
-    if not (type(x) is int and type(z) is int and 0 <= x < n and 0 <= z < n or _in_range(n, x, z)):
+    if not (type(x) is int and type(z) is int and 0 <= x < n and 0 <= z < n):
         raise MoveError(f"vertex id out of range in {Subdivide(x, z, y)}")
     slot = adj.slot
     sx, sz = (x, z) if slot is None else (slot[x], slot[z])
@@ -186,7 +178,7 @@ def _subdivide(adj: Adj, x, z, y) -> tuple[int, ...]:
 
 def _remove_leaf(adj: Adj, y, x) -> tuple[int, ...]:
     n = adj.n
-    if not (type(y) is int and type(x) is int and 0 <= y < n and 0 <= x < n or _in_range(n, y, x)):
+    if not (type(y) is int and type(x) is int and 0 <= y < n and 0 <= x < n):
         raise MoveError(f"vertex id out of range in {RemoveLeaf(y, x)}")
     slot = adj.slot
     sy, sx = (y, x) if slot is None else (slot[y], slot[x])
@@ -201,10 +193,7 @@ def _remove_leaf(adj: Adj, y, x) -> tuple[int, ...]:
 
 def _smooth(adj: Adj, y, x, z) -> tuple[int, ...]:
     n = adj.n
-    if not (
-        type(y) is int and type(x) is int and type(z) is int and 0 <= y < n and 0 <= x < n and 0 <= z < n
-        or _in_range(n, y, x, z)
-    ):
+    if not (type(y) is int and type(x) is int and type(z) is int and 0 <= y < n and 0 <= x < n and 0 <= z < n):
         raise MoveError(f"vertex id out of range in {Smooth(y, x, z)}")
     nbrs, slot = adj.nbrs, adj.slot
     sy, sx, sz = (y, x, z) if slot is None else (slot[y], slot[x], slot[z])
@@ -255,10 +244,8 @@ def apply_move_adj(adj: Adj, m: Move) -> tuple[int, ...]:
     """Check one move against adj, apply it, and return the pairs it
     wrote: the kernel of m's kind, looked up by type, on m's fields.
     The kernels above are where each kind is defined."""
-    kind = _KINDS.get(type(m))
-    if kind is None:
-        return _unknown(adj, m)
-    return kind[0](adj, *kind[1](m))
+    kernel, ids = _record(m)
+    return kernel(adj, *ids)
 
 
 def apply_move(g: Graph, m: Move) -> Graph:
@@ -415,7 +402,7 @@ def _parse_records(text: str) -> tuple[list[tuple], list[int]]:
         if len(parts) != arity + 1:
             raise ParseError(lineno, f"{tag} takes {arity} integers")
         del parts[0]
-        joined = "".join(parts)
+        joined = "".join(parts)  # graph._parse_ints, inlined
         if not (joined.isdigit() and joined.isascii()):
             raise ParseError(lineno, "move arguments must be nonnegative integers")
         records.append((kernel, tuple(map(int, parts))))

@@ -77,6 +77,25 @@ def test_smooth_rejects_adjacent_ends():
         apply_move(complete_graph(3), Smooth(1, 0, 2))
 
 
+@pytest.mark.parametrize(
+    "move",
+    [
+        Slide(0, 1, 2.0),
+        Slide(True, 2, 0),
+        AddPendant("0", 3),
+        Subdivide(0, None, 3),
+        RemoveLeaf(0.0, 1),
+        Smooth(1, False, 2),
+    ],
+)
+def test_a_non_int_id_is_out_of_range(move):
+    g = path_graph(3)
+    with pytest.raises(MoveError, match="out of range"):
+        apply_move(g, move)
+    with pytest.raises(MoveError, match="^move 0: .*out of range"):
+        replay(g, (move,), check="full")
+
+
 def test_empty_script_is_identity():
     g = cycle_graph(5)
     assert replay(g, ()) == g
