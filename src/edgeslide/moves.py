@@ -20,7 +20,8 @@ Each kind is defined once, by its kernel (``_slide``, ``_add_pendant``,
 holds the kind's precondition and rejection message, its effect, and
 the pairs it wrote, which the full-check replay reads.  ``_TAGS`` maps
 each tag to its class, kernel and arity.  :func:`apply_move_adj` runs
-the kernel of a Move's kind; the engines' slides go through it.  Replay
+the kernel of a Move's kind; the engines call ``_slide`` on their ids
+and build the ``Slide`` they emit.  Replay
 and verification run one loop over ``(kernel, ids)`` records: a Move
 script gives them through ``_record``, and ``.moves`` text through one
 parser that builds no Move object, so checking a certificate file

@@ -45,7 +45,7 @@ from .graph import (
     inverse_bijection,
     _check_vertex,
 )
-from .moves import MoveScript, Slide, _verify_generated, apply_move_adj
+from .moves import MoveScript, Slide, _slide, _verify_generated
 from .slides import _interchange, _relocate, _slide_along
 
 __all__ = [
@@ -100,7 +100,7 @@ def _raise_degree_engine(adj: Adj, x: int, out: list) -> None:
     _raise_tree_engine(tree, x, tree_slides)
     for m in tree_slides:
         if not adj.has(m.x, m.z):
-            apply_move_adj(adj, m)
+            _slide(adj, m.x, m.y, m.z)
             out.append(m)
     assert adj.degree(x) == adj.n - 1
 

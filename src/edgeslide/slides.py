@@ -16,7 +16,7 @@ from typing import Sequence
 
 from ._adj import Adj
 from .graph import Graph, GraphError, _check_vertex
-from .moves import MoveScript, Slide, apply_move_adj
+from .moves import MoveScript, Slide, _slide
 
 __all__ = [
     "slide_along_path",
@@ -32,9 +32,8 @@ __all__ = [
 
 
 def _slide_step(adj: Adj, out: list, x: int, y: int, z: int) -> None:
-    m = Slide(x, y, z)
-    apply_move_adj(adj, m)
-    out.append(m)
+    _slide(adj, x, y, z)
+    out.append(Slide(x, y, z))
 
 
 def _slide_along(adj: Adj, out: list, pivot: int, path: Sequence[int]) -> None:

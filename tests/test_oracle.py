@@ -1,5 +1,7 @@
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from edgeslide import (
@@ -84,7 +86,18 @@ def test_census_n5_trees_cayley():
 
 def test_census_cap():
     with pytest.raises(GraphError):
-        reachability_census(6, 5)
+        reachability_census(7, 6)
+
+
+# connected labeled graphs on 6 vertices by edge count (OEIS A062734)
+N6_MEMBERS = {5: 1296, 6: 3660, 7: 5700, 8: 6165, 9: 4945, 10: 2997, 11: 1365, 12: 455, 13: 105, 14: 15, 15: 1}
+
+
+def test_census_n6_member_counts():
+    assert sum(N6_MEMBERS.values()) == 26704  # OEIS A001187
+    for e, count in N6_MEMBERS.items():
+        assert len(enumerate_connected(6, e)) == count
+        assert reachability_census(6, e).members == count
 
 
 def test_census_table_format():
@@ -128,7 +141,12 @@ def test_slide_distances_satisfy_the_one_slide_recurrence():
             for j in range(len(universe)):
                 want = 0 if i == j else 1 + min(table[k][j] for k in near)
                 assert table[i][j] == want
-        assert max(map(max, table)) == reachability_census(n, e).diameter
+    # the census takes one BFS per relabelling orbit; the all-pairs table
+    # takes one per member
+    for n in range(1, 6):
+        for e in range(n - 1, n * (n - 1) // 2 + 1):
+            universe, table = slide_distances(n, e)
+            assert max(map(max, table)) == reachability_census(n, e).diameter
 
 
 def test_slide_distances_between_lower_bound_and_transform():
@@ -142,3 +160,58 @@ def test_slide_distances_between_lower_bound_and_transform():
 def test_slide_distances_cap():
     with pytest.raises(GraphError):
         slide_distances(7, 6)
+
+
+# --- against networkx ---------------------------------------------------------
+
+
+def _nx_slide_graph(n: int, e: int):
+    """The connected (n, e) universe as sorted edge tuples, each member's
+    slide results, sorted, and the slide graph, built on networkx: the
+    members from itertools and ``nx.is_connected``, the slides applied to
+    a copy of each member."""
+    members = []
+    for chosen in combinations(combinations(range(n), 2), e):
+        h = nx.Graph(chosen)
+        h.add_nodes_from(range(n))
+        if nx.is_connected(h):
+            members.append(h)
+    keys = [tuple(sorted(tuple(sorted(p)) for p in h.edges)) for h in members]
+    index = {k: i for i, k in enumerate(keys)}
+    near = []
+    slides = nx.Graph()
+    slides.add_nodes_from(range(len(members)))
+    for i, h in enumerate(members):
+        out = set()
+        for x in h:
+            for y in h[x]:
+                for z in h[y]:
+                    if z != x and not h.has_edge(x, z):
+                        moved = h.copy()
+                        moved.remove_edge(x, y)
+                        moved.add_edge(x, z)
+                        out.add(tuple(sorted(tuple(sorted(p)) for p in moved.edges)))
+        near.append(sorted(out))
+        slides.add_edges_from((i, index[k]) for k in out)
+    return keys, near, slides
+
+
+NX_SCOPE = [(n, e) for n in range(1, 6) for e in range(n - 1, n * (n - 1) // 2 + 1)]
+NX_SCOPE += [(6, e) for e, count in N6_MEMBERS.items() if count <= 1365]
+
+
+@pytest.mark.parametrize("n,e", NX_SCOPE)
+def test_census_and_slide_neighbors_match_networkx(n, e):
+    keys, near, slides = _nx_slide_graph(n, e)
+    universe = enumerate_connected(n, e)
+    assert [g.edges for g in universe] == keys
+    for g, want in zip(universe, near):
+        assert [h.edges for h in slide_neighbors(g)] == want
+    parts = [slides.subgraph(c).copy() for c in nx.connected_components(slides)]
+    diameter = max((max(nx.eccentricity(c).values()) for c in parts), default=0)
+    report = reachability_census(n, e)
+    assert (report.members, report.classes, report.diameter) == (
+        len(keys),
+        nx.number_connected_components(slides),
+        diameter,
+    )
