@@ -5,11 +5,11 @@ oracle, stats.  Graphs travel as ``.elist`` files, certificates as
 ``.moves`` files, and vertex bijections as files of ``m <src> <dst>``
 lines (identity when omitted).  Exit codes: 0 success, 1 verification
 failure, 2 bad input or precondition.  transform, regularize and
-euler-transform emit the script the library returns.  The library
-verifies each script it generates once, by a full-check replay, and
-raises ``MoveError`` (exit 1) if it fails.  Outputs are written
-atomically and only after that, so a script file on disk is always a
-valid certificate.
+euler-transform emit the script the library returns, which it has
+verified once by a full-check replay (``MoveError``, exit 1, if not);
+its other builders, such as ``move_edge``, only check each slide as
+they build it.  Outputs are written atomically and only after that, so
+a script file on disk is always a valid certificate.
 """
 from __future__ import annotations
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from itertools import combinations, islice
 
 from ._adj import Adj
-from .graph import Graph, GraphError, identity_bijection
-from .moves import AddPendant, MoveScript, RemoveLeaf, Slide, Subdivide, _verify_generated, replay
+from .graph import Graph, GraphError, _connected_adj, identity_bijection
+from .moves import AddPendant, MoveScript, RemoveLeaf, Slide, Subdivide, _verify_generated
 from .prescribe import _relocation_script
 
 __all__ = [
@@ -62,9 +62,7 @@ def collapse_to_order(g: Graph, target_n: int) -> MoveScript:
     raises ``MoveError``."""
     if not (1 <= target_n <= g.n):
         raise GraphError(f"target order {target_n} out of range for n={g.n}")
-    adj = Adj.from_graph(g)
-    if not adj.connected():
-        raise GraphError("collapse requires a connected graph")
+    adj = _connected_adj(g, "collapse requires a connected graph")
     chi = g.n - g.e
     for m in range(g.n, target_n, -1):
         edges_at_m = m - chi
@@ -77,19 +75,21 @@ def collapse_to_order(g: Graph, target_n: int) -> MoveScript:
     if target_n == g.n:
         return ()
     core = Graph(target_n, islice(combinations(range(target_n), 2), target_n - chi))
-    return _verify_generated(g, _collapse_onto(g, core), core, identity_bijection(target_n))
+    return _verify_generated(g, _collapse_onto(adj, core), core, identity_bijection(target_n))
 
 
-def _collapse_onto(g: Graph, core: Graph) -> MoveScript:
-    """Slides carrying g onto core plus leaves core.n..g.n-1 hung on vertex
-    0, then the removals of those leaves from the top id down; unverified."""
-    big = replay(core, expand_to_order(core, g.n))
-    slides = _relocation_script(g, big, identity_bijection(g.n))
-    return slides + tuple(RemoveLeaf(m, 0) for m in range(g.n - 1, core.n - 1, -1))
+def _collapse_onto(adj: Adj, core: Graph) -> MoveScript:
+    """Slides carrying adj onto core plus leaves core.n..adj.n-1 hung on
+    vertex 0, then the removals of those leaves from the top id down;
+    unverified."""
+    leaves = range(core.n, adj.n)
+    slides = _relocation_script(adj, set(core.edges).union((0, m) for m in leaves))
+    return slides + tuple(RemoveLeaf(m, 0) for m in reversed(leaves))
 
 
 def transform_euler(g: Graph, h: Graph) -> tuple[MoveScript, tuple[int, ...]]:
-    """Script carrying g onto a graph isomorphic to h, given equal chi.
+    """Script carrying g onto a graph isomorphic to h, given equal chi;
+    both must be connected.
 
     Grows g to h's order by pendants on vertex 0 and then slides into
     position, or slides g onto h plus leaves of 0 at the top ids and then
@@ -103,10 +103,15 @@ def transform_euler(g: Graph, h: Graph) -> tuple[MoveScript, tuple[int, ...]]:
     chi_h = h.n - h.e
     if chi_g != chi_h:
         raise GraphError(f"Euler characteristic mismatch: {chi_g} != {chi_h}")
+    message = "transform_euler requires connected graphs"
+    adj = _connected_adj(g, message)
+    _connected_adj(h, message)
     mapping = identity_bijection(h.n)
     if g.n > h.n:
-        script = _collapse_onto(g, h)
+        script = _collapse_onto(adj, h)
     else:
         prefix = expand_to_order(g, h.n)
-        script = prefix + _relocation_script(replay(g, prefix), h, mapping)
+        for _ in prefix:
+            adj.add(0, adj.add_vertex())
+        script = prefix + _relocation_script(adj, set(h.edges))
     return _verify_generated(g, script, h, mapping), mapping

@@ -184,7 +184,8 @@ def parse_graph(text: str) -> Graph:
     :func:`_parse_ints` checks.  Each edge is checked once, here, against
     the header and the neighbor sets built so far, which also catch
     duplicates; the sets are per vertex seen, so a header's vertex count
-    allocates nothing until the document is valid."""
+    allocates nothing until the document is valid, and then only a
+    pointer per vertex: every isolated vertex shares one empty set."""
     n = e = None
     edges: list[tuple[int, int]] = []
     nbrs: defaultdict[int, set[int]] = defaultdict(set)
@@ -233,7 +234,10 @@ def parse_graph(text: str) -> Graph:
     if len(edges) != e:
         raise ParseError(_last_line(text), f"expected {e} edge lines, found {len(edges)}")
     edges.sort()
-    return Graph._valid(n, tuple(edges), tuple([frozenset(nbrs.get(v, ())) for v in range(n)]))
+    sets = [frozenset()] * n
+    for v, s in nbrs.items():
+        sets[v] = frozenset(s)
+    return Graph._valid(n, tuple(edges), tuple(sets))
 
 
 def serialize_graph(g: Graph) -> str:
@@ -249,6 +253,16 @@ def serialize_graph(g: Graph) -> str:
 
 def is_connected(g: Graph) -> bool:
     return Adj.from_graph(g).connected()
+
+
+def _connected_adj(g: Graph, message: str) -> Adj:
+    """g as an ``Adj``, or ``GraphError(message)`` when g is disconnected:
+    the one gate of the entry points that need a connected graph.  Fewer
+    than n - 1 edges are rejected before anything is built."""
+    adj = None if g.e < g.n - 1 else Adj.from_graph(g)
+    if adj is None or not adj.connected():
+        raise GraphError(message)
+    return adj
 
 
 def shortest_path(

@@ -48,6 +48,7 @@ __all__ = [
 # has 1,866,256 members.
 _ENUMERATION_CAP = 7
 _CENSUS_CAP = 6
+_DISTANCE_CAP = 6
 
 
 def _pair_bits(n: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
@@ -183,9 +184,9 @@ def slide_distances(n: int, e: int) -> tuple[list[Graph], list[list[int]]]:
     """The connected (n, e) universe, in :func:`enumerate_connected`
     order, and the fewest slides carrying each member onto each other:
     ``table[i][j]`` for universe[i] onto universe[j], -1 when no script
-    exists.  For n <= 6."""
-    if n > 6:
-        raise GraphError(f"n={n} exceeds the slide-distance cap 6")
+    exists.  For n <= ``_DISTANCE_CAP``."""
+    if n > _DISTANCE_CAP:
+        raise GraphError(f"n={n} exceeds the slide-distance cap {_DISTANCE_CAP}")
     _, universe, slides = _slide_graph(n, e)
     return universe, [slides.distances(start) for start in range(len(universe))]
 

@@ -25,16 +25,26 @@ and that edge is missing because the bridge was the only crossing edge.
 as a second, explicitly named engine.  No test compares the two
 engines' scripts; the acceptance sweep verifies each one's own.  It
 picks a minimum-degree vertex of the goal, pumps the matching source
-vertex up to full degree by co-evolving a spanning tree, prunes it back
-down while keeping the rest connected, matches its neighborhood by
-interchanges, repairs connectivity of both complements, and repeats on
-the remainders.  Goal-side repair slides are inverted, pulled back
-through ``psi``, and appended after the slides of every level, the last
-level's first.
+vertex x* up to full degree by co-evolving a spanning tree, prunes it
+back down to the goal vertex's degree d1 while keeping the rest
+connected, matches its neighborhood by interchanges, repairs the
+connectivity of the goal minus its vertex, and repeats on the
+remainders.  Goal-side repair slides are inverted, pulled back through
+``psi``, and appended after the slides of every level, the last level's
+first.
+
+G - x* needs no repair.  After the pump it has m = e - n + 1 edges on
+n - 1 vertices, so at most n - k components, with k >= 1 least such
+that C(k, 2) >= m (n - 1 of them when m = 0, a tree goal, d1 = 1).  The
+pruning makes n - 1 - d1 relocations, each joining two components while
+there are several, and d1 <= floor(2e/n) <= k, so G - x* ends connected.
+An interchange swaps the neighborhoods of two vertices other than x*:
+it relabels G - x* and cannot split it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from ._adj import Adj
@@ -44,6 +54,7 @@ from .graph import (
     check_bijection,
     inverse_bijection,
     _check_vertex,
+    _connected_adj,
 )
 from .moves import MoveScript, Slide, _slide, _verify_generated
 from .slides import _interchange, _relocate, _slide_along
@@ -81,21 +92,20 @@ def raise_degree_in_tree(t: Graph, x: int) -> MoveScript:
     """Slides turning a tree into the star at x; every intermediate graph
     is again a tree."""
     _check_vertex(t, x)
-    tree = Adj.from_graph(t)
-    if t.e != t.n - 1 or not tree.connected():
+    if t.e > t.n - 1:
         raise GraphError("raise_degree_in_tree requires a tree")
+    tree = _connected_adj(t, "raise_degree_in_tree requires a tree")
     out: list = []
     _raise_tree_engine(tree, x, out)
     return tuple(out)
 
 
 def _raise_degree_engine(adj: Adj, x: int, out: list) -> None:
-    """Pump d(x) to n - 1 by evolving a BFS spanning tree rooted at x and
-    mirroring each tree slide in the graph unless it would double an edge.
-    The tree loop never reads the graph, so the mirroring runs after it."""
+    """Pump d(x) to n - 1 in the connected adj by evolving a BFS spanning
+    tree rooted at x and mirroring each tree slide in the graph unless it
+    would double an edge.  The tree loop never reads the graph, so the
+    mirroring runs after it."""
     tree = adj.bfs_tree(x)
-    if tree is None:
-        raise GraphError("graph must be connected")
     tree_slides: list = []
     _raise_tree_engine(tree, x, tree_slides)
     for m in tree_slides:
@@ -109,9 +119,7 @@ def raise_degree(g: Graph, x: int) -> MoveScript:
     """Slides raising x to degree n - 1 while preserving (n, e) and
     connectivity."""
     _check_vertex(g, x)
-    adj = Adj.from_graph(g)
-    if not adj.connected():
-        raise GraphError("raise_degree requires a connected graph")
+    adj = _connected_adj(g, "raise_degree requires a connected graph")
     out: list = []
     _raise_degree_engine(adj, x, out)
     return tuple(out)
@@ -155,27 +163,19 @@ def _reduce_degree(adj: Adj, x_star: int, d1: int, out: list) -> None:
             # comps[1], and comps[1] has its own edge to x*
             pair = (comps[0][0], comps[1][0])
         else:
-            comp = comps[0]
-            pair = None
-            for ii in range(len(comp)):
-                for jj in range(ii + 1, len(comp)):
-                    if not adj.has(comp[ii], comp[jj]):
-                        pair = (comp[ii], comp[jj])
-                        break
-                if pair is not None:
-                    break
-            if pair is None:
-                raise AssertionError(
-                    "complement is complete while degree reduction is still "
-                    "needed; impossible for equal edge counts"
-                )
+            # the least non-adjacent pair of G - x*: G - x* is not complete
+            # while d(x*) > d1, as the goal has as many edges
+            pair = next((a, b) for a, b in combinations(comps[0], 2) if not adj.has(a, b))
             # legal: G - x* is connected and holds the pair, and x* keeps
             # d(x*) - 1 >= d1 >= 1 edges into it
             w = min(adj.nbrs[x_star])
         _relocate(adj, out, (x_star, w), pair)
 
 
-def _first_back_edge(adj: Adj, comp: list[int], cset: set[int]) -> tuple[int, int]:
+def _first_back_edge(adj: Adj, comp: list[int]) -> tuple[int, int] | None:
+    """The first edge of the component comp that closes a cycle in a DFS
+    from its least vertex, neighbors in ascending order; None for a tree."""
+    cset = set(comp)
     root = comp[0]
     parent = {root: -1}
     stack = [(root, iter(sorted(adj.nbrs[root])))]
@@ -193,33 +193,20 @@ def _first_back_edge(adj: Adj, comp: list[int], cset: set[int]) -> tuple[int, in
             break
         if not advanced:
             stack.pop()
-    raise AssertionError("component declared cyclic has no back edge")
+    return None
 
 
 def _repair_components(adj: Adj, skip: int, out: list) -> None:
-    """Merge the components of adj - skip by relocating cycle edges."""
-    while True:
-        comps = adj.components(skip=skip)
-        if len(comps) <= 1:
-            return
-        moved = False
-        for ci, comp in enumerate(comps):
-            cset = set(comp)
-            inner = sum(1 for v in comp for w in adj.nbrs[v] if w in cset) // 2
-            if inner >= len(comp):
-                edge = _first_back_edge(adj, comp, cset)
-                other = comps[1] if ci == 0 else comps[0]
-                pair = (min(comp[0], other[0]), max(comp[0], other[0]))
-                # legal: the edge lies on a cycle, and the pair joins two
-                # components, so its ends are non-adjacent
-                _relocate(adj, out, edge, pair)
-                moved = True
-                break
-        if not moved:
-            raise AssertionError(
-                "complement has several components but no spare cycle edge; "
-                "impossible when the goal graph has the same edge count"
-            )
+    """Merge the components of adj - skip by relocating cycle edges.
+    adj is connected and skip has least degree in it, so while there
+    are several components, one of them holds a cycle."""
+    while len(comps := adj.components(skip=skip)) > 1:
+        backs = ((ci, _first_back_edge(adj, comp)) for ci, comp in enumerate(comps))
+        ci, edge = next(b for b in backs if b[1] is not None)
+        a, b = comps[ci][0], comps[1 if ci == 0 else 0][0]
+        # legal: the edge lies on a cycle, and the pair joins two
+        # components, so its ends are non-adjacent
+        _relocate(adj, out, edge, (min(a, b), max(a, b)))
 
 
 def _peel(gG: Adj, gS: Adj, psi: list[int]) -> tuple[MoveScript, list[LevelTrace]]:
@@ -248,9 +235,9 @@ def _peel(gG: Adj, gS: Adj, psi: list[int]) -> tuple[MoveScript, list[LevelTrace
             a = min(gG.nbrs[x_star] - wanted)
             b = min(wanted - gG.nbrs[x_star])
             _interchange(gG, local, a, b)
-        assert gG.degree(x_star) == d1 and gG.nbrs[x_star] == wanted
-
-        _repair_components(gG, x_star, local)
+        # G - x* is connected here, so only the goal side is repaired: the
+        # pruning's n - 1 - d1 relocations make every merge it needs, and
+        # each interchange relabels G - x* (the module docstring's argument)
         goal_repair: list = []
         _repair_components(gS, y_star, goal_repair)
 
@@ -290,11 +277,8 @@ def _check_pair(g: Graph, h: Graph, psi: Sequence[int]):
     if g.e != h.e:
         raise GraphError(f"edge count mismatch: {g.e} != {h.e}")
     psi = check_bijection(psi, g.n)
-    gG = Adj.from_graph(g)
-    gS = Adj.from_graph(h)
-    if not gG.connected() or not gS.connected():
-        raise GraphError("transform requires connected graphs")
-    return psi, gG, gS
+    message = "transform requires connected graphs"
+    return psi, _connected_adj(g, message), _connected_adj(h, message)
 
 
 def transform_peel(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
@@ -320,23 +304,27 @@ def transform(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:
     because each slide of the relocation moves one end of the edge by one
     step.  The script is empty when g already matches h.
     """
-    return TransformPlan(_verify_generated(g, _relocation_script(g, h, psi), h, psi), ())
-
-
-def _relocation_script(g: Graph, h: Graph, psi: Sequence[int]) -> MoveScript:
-    """The slides of :func:`transform`, unverified.  The Euler resizing
-    verifies them as part of its whole script."""
     psi, adj, _ = _check_pair(g, h, psi)
     inv = inverse_bijection(psi)
     target = {(min(inv[a], inv[b]), max(inv[a], inv[b])) for a, b in h.edges}
+    return TransformPlan(_verify_generated(g, _relocation_script(adj, target), h, psi), ())
+
+
+def _relocation_script(adj: Adj, target: set[tuple[int, int]]) -> MoveScript:
+    """The slides of :func:`transform` on a connected state adj, which
+    they carry onto the edge set target, unverified and unchecked: target
+    must be the edges (u, v), u < v, of a connected graph on adj's
+    vertices with as many edges.  The Euler resizing verifies the slides
+    as part of its whole script."""
+    edges = adj.sorted_edges()
     partners: list[set[int]] = [set() for _ in range(adj.n)]
-    for x, y in target.difference(g.edges):
+    for x, y in target.difference(edges):
         partners[x].add(y)
         partners[y].add(x)
     out: list = []
     # relocating uv onto a missing pair changes exactly those two edges,
     # so the surplus edges can be fixed in one sorted pass
-    for u, v in sorted(set(g.edges) - target):
+    for u, v in [uv for uv in edges if uv not in target]:
         x, y = _cheapest_pair(adj, partners, u, v)
         # legal by the module docstring's argument: any missing pair when
         # uv is not a bridge, a pair across its cut when it is

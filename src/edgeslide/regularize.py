@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from ._adj import Adj
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _connected_adj
 from .moves import MoveScript, _verify_generated
 from .slides import _shuffle
 
@@ -102,9 +101,7 @@ class RegularizeStep:
 
 def regularize_steps(g: Graph) -> tuple[RegularizeStep, ...]:
     """The per-step decomposition behind :func:`regularize`."""
-    adj = Adj.from_graph(g)
-    if not adj.connected():
-        raise GraphError("regularize requires a connected graph")
+    adj = _connected_adj(g, "regularize requires a connected graph")
     nbrs = adj.nbrs
     degs = adj.degrees()
     # A min-heap of ids per degree; an entry v in buckets[d] is stale once

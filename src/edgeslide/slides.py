@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._adj import Adj
-from .graph import Graph, GraphError, _check_vertex
+from .graph import Graph, GraphError, _check_vertex, _connected_adj
 from .moves import MoveScript, Slide, _slide
 
 __all__ = [
@@ -241,9 +241,7 @@ def find_transfer_paths(
     # be non-adjacent
     if x == y or ({x, y} != {u, v} and g.adjacent(x, y)):
         raise GraphError(f"({x}, {y}) must be non-adjacent once ({u}, {v}) is removed")
-    adj = Adj.from_graph(g)
-    if not adj.connected():
-        raise GraphError("graph must be connected")
+    adj = _connected_adj(g, "graph must be connected")
     if not _connected_after_move(adj, (u, v), (x, y)):
         raise GraphError(f"moving ({u}, {v}) to ({x}, {y}) would disconnect the graph")
     u2, v2 = _relabel(adj, (u, v), x)
@@ -262,9 +260,7 @@ def move_edge(g: Graph, uv: tuple[int, int], xy: tuple[int, int]) -> MoveScript:
     """
     for w in (*uv, *xy):
         _check_vertex(g, w)
-    adj = Adj.from_graph(g)
-    if not adj.connected():
-        raise GraphError("graph must be connected")
+    adj = _connected_adj(g, "graph must be connected")
     u, v = uv
     x, y = xy
     if not adj.has(u, v):
@@ -293,9 +289,7 @@ def interchange(g: Graph, a: int, b: int) -> MoveScript:
     _check_vertex(g, b)
     if a == b:
         raise GraphError("interchange needs two distinct vertices")
-    adj = Adj.from_graph(g)
-    if not adj.connected():
-        raise GraphError("graph must be connected")
+    adj = _connected_adj(g, "graph must be connected")
     out: list = []
     _interchange(adj, out, a, b)
     return tuple(out)

@@ -267,6 +267,17 @@ def count_connectivity_checks(monkeypatch) -> list:
     return calls
 
 
+def count_adj_builds(monkeypatch) -> list:
+    """Wrap ``Adj.from_graph`` for one test; the returned list gains the
+    vertex count of every graph it builds an ``Adj`` from."""
+    from edgeslide._adj import Adj
+
+    calls = []
+    original = Adj.from_graph
+    monkeypatch.setattr(Adj, "from_graph", classmethod(lambda cls, g: calls.append(g.n) or original(g)))
+    return calls
+
+
 def skip_first_relocation(monkeypatch) -> None:
     """For one test, make the first top-level edge relocation of the
     engines do nothing, so the relocation engine's plan misses its goal

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,21 @@ def graphs(draw, max_n=12):
 @settings(max_examples=200)
 def test_parse_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+def test_header_only_document_costs_a_pointer_per_vertex():
+    # every isolated vertex shares one empty neighbor set: the vertex
+    # sets take a list and a tuple of n pointers, where a set per vertex
+    # took about 230 bytes each
+    n = 200_000
+    tracemalloc.start()
+    try:
+        g = parse_graph(f"p {n} 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.e, g.degree(n - 1)) == (n, 0, 0)
+    assert peak < 20 * n
 
 
 # --- traversals ------------------------------------------------------------

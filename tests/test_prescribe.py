@@ -314,3 +314,61 @@ def test_pricing_of_a_near_pair_stays_local(monkeypatch):
     monkeypatch.setattr(module, "_cheapest_pair", counted_price)
     transform(g, h, psi)
     assert reached and max(reached) < n
+
+
+# --- level peeling: the goal-side repair and the connected G - x* -----------
+
+
+def test_peel_repairs_a_goal_split_at_a_cut_vertex(monkeypatch):
+    # two triangles {1,2,3} and {4,5,6} joined through vertex 0: the goal's
+    # least vertex of least degree is the cut vertex 0, so the first level
+    # relocates a triangle edge to join the two sides again
+    import edgeslide.prescribe as module
+
+    h = Graph(7, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+    g = Graph(7, list(path_graph(7).edges) + [(0, 6), (2, 5)])
+    searched = []
+    original = module._first_back_edge
+    monkeypatch.setattr(
+        module, "_first_back_edge", lambda adj, comp: searched.append(list(comp)) or original(adj, comp)
+    )
+    plan = transform_peel(g, h, identity_bijection(7))
+    assert searched == [[1, 2, 3]]
+    first = plan.trace[0]
+    assert (first.size, first.target, first.preimage) == (7, 0, 0)
+    assert len(first.goal_repair) == 4
+    assert first.appended_inverse and all(not t.goal_repair for t in plan.trace[1:])
+    assert is_isomorphic_under(replay(g, plan.script, check="full"), h, identity_bijection(7))
+
+
+def test_degree_reduction_leaves_the_source_remainder_connected(monkeypatch):
+    # level peeling repairs only the goal side, so after the pruning
+    # G - x* must be one component (the prescribe module docstring's
+    # argument); run on every ordered pair with n <= 4 and on 300 seeded
+    # pairs with n = 6..30
+    import edgeslide.prescribe as module
+
+    original = module._reduce_degree
+    levels = []
+
+    def reduce_degree(adj, x_star, d1, out):
+        original(adj, x_star, d1, out)
+        assert len(adj.components(skip=x_star)) == 1
+        levels.append(adj.n)
+
+    monkeypatch.setattr(module, "_reduce_degree", reduce_degree)
+    pairs = []
+    for n in range(2, 5):
+        for e in range(n - 1, n * (n - 1) // 2 + 1):
+            graphs = enumerate_connected(n, e)
+            pairs.extend((g, h, identity_bijection(n)) for g in graphs for h in graphs)
+    assert len(pairs) == 1 + 10 + 518
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(6, 30)
+        e = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        pairs.append((random_connected_graph(n, e, rng), random_connected_graph(n, e, rng), rng.sample(range(n), n)))
+    for g, h, psi in pairs:
+        transform_peel(g, h, psi)
+    # one pruning per level above n = 2
+    assert len(levels) == 6089
