@@ -189,11 +189,13 @@ def _cmd_oracle(args) -> int:
 def _cmd_stats(args) -> int:
     g = _load(args.source, parse_graph)
     s = stats(g)
-    degrees = ",".join(str(d) for d in s.degrees)
-    print(
-        f"n={g.n} e={g.e} chi={s.euler_characteristic} energy={s.energy} "
-        f"degrees={degrees} curvature_sum={s.curvature_sum}"
-    )
+    write = sys.stdout.write
+    write(f"n={g.n} e={g.e} chi={s.euler_characteristic} energy={s.energy} degrees=")
+    # in chunks, so no string per vertex is held for the whole field
+    degrees, chunk = s.degrees, 1 << 14
+    for i in range(0, len(degrees), chunk):
+        write(("," if i else "") + ",".join(map(str, degrees[i : i + chunk])))
+    write(f" curvature_sum={s.curvature_sum}\n")
     return 0
 
 

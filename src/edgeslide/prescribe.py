@@ -276,9 +276,11 @@ def _check_pair(g: Graph, h: Graph, psi: Sequence[int]):
         raise GraphError(f"vertex count mismatch: {g.n} != {h.n}")
     if g.e != h.e:
         raise GraphError(f"edge count mismatch: {g.e} != {h.e}")
-    psi = check_bijection(psi, g.n)
+    # the gates first: they reject a header-only graph on its edge count
+    # before a bijection of its size is sorted
     message = "transform requires connected graphs"
-    return psi, _connected_adj(g, message), _connected_adj(h, message)
+    gG, gS = _connected_adj(g, message), _connected_adj(h, message)
+    return check_bijection(psi, g.n), gG, gS
 
 
 def transform_peel(g: Graph, h: Graph, psi: Sequence[int]) -> TransformPlan:

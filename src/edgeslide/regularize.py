@@ -119,6 +119,14 @@ def regularize_steps(g: Graph) -> tuple[RegularizeStep, ...]:
             heappop(bucket)
         return bucket[0] if bucket else None
 
+    # The donor is the least neighbor of x off the path and not adjacent
+    # to y.  Every slide of a step has the donor as its pivot and lands on
+    # a path vertex after x, so a step changes x's row only by dropping
+    # the donor.  While x stays the high vertex, ``order`` (its row,
+    # sorted when x took over) thus holds N(x) plus earlier donors, and
+    # ``start`` skips the leading ones.  Of the path, only its first hop
+    # can be adjacent to x: a shortest path has no chord at x.
+    held = -1
     steps: list[RegularizeStep] = []
     while True:
         while (x := top(hi)) is None:
@@ -128,7 +136,14 @@ def regularize_steps(g: Graph) -> tuple[RegularizeStep, ...]:
         if hi - lo < 2:
             break
         path = adj.bfs_path(x, y)
-        donor = min(nbrs[x] - nbrs[y] - set(path))
+        nbx, nby, hop = nbrs[x], nbrs[y], path[1]
+        if x != held:
+            held, order, start = x, sorted(nbx), 0
+        while order[start] not in nbx:
+            start += 1
+        i = start
+        while (donor := order[i]) not in nbx or donor in nby or donor == hop:
+            i += 1
         moves: list = []
         _shuffle(adj, moves, donor, path)
         degs[x], degs[y] = hi - 1, lo + 1

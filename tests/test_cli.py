@@ -35,6 +35,21 @@ def test_stats_k4(files, capsys):
     assert out == "n=4 e=6 chi=-2 energy=36 degrees=3,3,3,3 curvature_sum=-4\n"
 
 
+@pytest.mark.parametrize("n", [1, 2, 16384, 16385, 40000])
+def test_stats_writes_the_degrees_field_in_one_line(files, capsys, n):
+    # the field is written in chunks; across chunk borders it must read
+    # as one comma-joined line
+    tmp, write = files
+    g = star_graph(n) if n > 1 else path_graph(1)
+    assert run(["stats", write("g.elist", g)]) == 0
+    degrees = ",".join(str(g.degree(v)) for v in range(n))
+    chi = n - g.e
+    energy = sum(g.degree(v) ** 2 for v in range(n))
+    assert capsys.readouterr().out == (
+        f"n={n} e={g.e} chi={chi} energy={energy} degrees={degrees} curvature_sum={2 * chi}\n"
+    )
+
+
 def test_transform_then_verify_roundtrip(files):
     tmp, write = files
     a = write("a.elist", path_graph(4))

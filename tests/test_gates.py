@@ -60,6 +60,19 @@ def test_entry_points_reject_a_disconnected_graph():
             call()
 
 
+@pytest.mark.parametrize("engine", [transform, transform_peel])
+@pytest.mark.parametrize("g", [SPLIT, SPARSE], ids=["split", "sparse"])
+def test_the_connectivity_gate_runs_before_the_bijection_check(engine, g):
+    # a disconnected pair with a bad bijection gets the connectivity
+    # message: the gates run first, so a header-only input is refused on
+    # its edge count before a bijection of its size is sorted
+    for psi in ([0, 0, 1, 2, 3], [0, 1, 2], range(1, 6)):
+        with pytest.raises(GraphError, match="^transform requires connected graphs$"):
+            engine(g, g, psi)
+    with pytest.raises(GraphError, match="^bijection must be a permutation of 0..4$"):
+        engine(path_graph(5), star_graph(5), [0, 0, 1, 2, 3])
+
+
 def test_too_few_edges_are_rejected_before_any_adj_is_built(monkeypatch):
     builds = count_adj_builds(monkeypatch)
     checks = count_connectivity_checks(monkeypatch)

@@ -15,12 +15,12 @@ from edgeslide import (
     regularize,
     regularize_steps,
     replay,
+    shuffle,
     star_graph,
     stats,
 )
 from edgeslide._adj import Adj
-from edgeslide.moves import apply_move_adj
-from helpers import hub_graph, random_connected_graph
+from helpers import bfs_tree_path, hub_graph, random_connected_graph
 
 
 def test_target_nine_sixteen():
@@ -150,20 +150,70 @@ def _brute_force_pick(degs):
     return x, y, degs[x], degs[y]
 
 
+def _hubs_graph(n: int, hubs: int, rng: random.Random) -> Graph:
+    """A random tree plus `hubs` low-id vertices each joined to about half
+    of the others, so the highest degree passes between the hubs."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for h in range(hubs):
+        edges.update((min(h, v), max(h, v)) for v in rng.sample(range(n), n // 2) if v != h)
+    return Graph(n, edges)
+
+
+def _reference_step(g: Graph):
+    """One step chosen from scratch on g: the smallest-id extremes, the
+    ascending-id BFS tree path and the least donor, shuffled along it."""
+    x, y, _, _ = _brute_force_pick([g.degree(v) for v in range(g.n)])
+    path = bfs_tree_path(g, x, y)
+    donor = min(set(g.neighbors(x)) - set(g.neighbors(y)) - set(path))
+    return x, y, path, donor, shuffle(g, donor, path, 0, len(path) - 1)
+
+
 def test_each_step_picks_the_smallest_id_extremes():
+    # each step equals a step chosen from scratch on the current state:
+    # its extremes, its path and its donor, so its moves too
     rng = random.Random(77)
     graphs = [hub_graph(n, n, rng) for n in (40, 200, 300)]
     graphs += [random_connected_graph(n, k * n, rng) for n, k in ((60, 2), (120, 3), (300, 2))]
+    graphs += [_hubs_graph(n, hubs, rng) for n, hubs in ((60, 3), (120, 4))]
     for g in graphs:
-        adj = Adj.from_graph(g)
+        cur = g
         for step in regularize_steps(g):
-            assert (step.high, step.low, step.high_degree, step.low_degree) == _brute_force_pick(
-                adj.degrees()
-            )
-            for m in step.moves:
-                apply_move_adj(adj, m)
-        _, _, top, bottom = _brute_force_pick(adj.degrees())
+            want = _brute_force_pick([cur.degree(v) for v in range(cur.n)])
+            assert (step.high, step.low, step.high_degree, step.low_degree) == want
+            assert step.moves == _reference_step(cur)[-1]
+            cur = replay(cur, step.moves, check="fast")
+        _, _, top, bottom = _brute_force_pick([cur.degree(v) for v in range(cur.n)])
         assert top - bottom < 2
+
+
+def test_the_high_vertex_passes_between_hubs_and_returns():
+    # the held neighbour order of x is rebuilt each time x changes and
+    # reused while it stays; this family exercises both, and the steps
+    # above check them against the reference
+    highs = [step.high for step in regularize_steps(_hubs_graph(120, 4, random.Random(3)))]
+    runs = [h for i, h in enumerate(highs) if i == 0 or highs[i - 1] != h]
+    assert len(runs) < len(highs)  # some run of steps keeps its x
+    assert len(runs) > len(set(runs)) > 1  # x changes, and returns
+
+
+@pytest.mark.parametrize(
+    "g, case",
+    [
+        # x = 3, y = 1 on the edge 3-1; x's least neighbour 0 is adjacent
+        # to y, so the donor is 2
+        (Graph(5, [(0, 1), (0, 3), (0, 4), (1, 3), (2, 3), (2, 4), (3, 4)]), "adjacent to y"),
+        # x = 4, y = 1 along 4-0-5-1; x's least neighbour 0 is the path's
+        # first hop, so the donor is 2
+        (Graph(6, [(0, 4), (0, 5), (1, 5), (2, 4), (3, 4)]), "on the path"),
+    ],
+)
+def test_the_donor_skips_the_least_neighbour_of_x(g, case):
+    x, y, path, donor, moves = _reference_step(g)
+    least = min(g.neighbors(x))
+    assert (least in g.neighbors(y), least in path) == (case == "adjacent to y", case == "on the path")
+    assert donor == 2
+    first = regularize_steps(g)[0]
+    assert (first.high, first.low, first.moves) == (x, y, moves)
 
 
 def test_regularize_steps_reads_degrees_once_and_builds_no_bfs_tree(monkeypatch):

@@ -1,6 +1,7 @@
 """Differential tests of the traversals and of the goal check against
 networkx, on small random graphs, disconnected ones and isolated
 vertices included."""
+import itertools
 import random
 
 import networkx as nx
@@ -20,7 +21,7 @@ from edgeslide import (
 )
 from edgeslide._adj import Adj
 from edgeslide.moves import _verify_generated
-from helpers import bfs_tree_path, nx_graph, random_connected_graph
+from helpers import bfs_tree_path, hub_graph, nx_graph, random_connected_graph
 
 
 @st.composite
@@ -93,6 +94,48 @@ def test_bfs_path_is_the_least_shortest_path(case, data):
         assert path == min(nx.all_shortest_paths(ref, a, b))
     else:
         assert path is None
+
+
+@st.composite
+def hub_shaped(draw, max_n=30):
+    """A graph with one hub adjacent to most other vertices, plus a few
+    random edges, and a pair (a, b) whose a is often the hub: the meeting
+    layer of a BFS from b then holds many neighbours of a."""
+    n = draw(st.integers(3, max_n))
+    hub = draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != hub]
+    spokes = draw(st.lists(st.sampled_from(others), unique=True, min_size=len(others) // 2 + 1))
+    pairs = [(u, v) for u in others for v in others if u < v]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    g = Graph(n, {(min(hub, v), max(hub, v)) for v in spokes} | set(extra))
+    a = draw(st.one_of(st.just(hub), st.sampled_from(others)))
+    return g, a, draw(st.sampled_from(others))
+
+
+@given(hub_shaped())
+@settings(max_examples=300, deadline=None)
+def test_bfs_path_on_hub_shaped_graphs(case):
+    g, a, b = case
+    path = Adj.from_graph(g).bfs_path(a, b)
+    assert path == bfs_tree_path(g, a, b)
+    ref = nx_graph(g)
+    if not nx.has_path(ref, a, b):
+        assert path is None
+        return
+    # compare with networkx where the shortest paths are few enough to list
+    few = list(itertools.islice(nx.all_shortest_paths(ref, a, b), 500))
+    if len(few) < 500:
+        assert path == min(few)
+
+
+def test_bfs_path_from_the_hub_of_large_hub_graphs():
+    rng = random.Random(8)
+    for n in (200, 300, 800):
+        g = hub_graph(n, n, rng)
+        adj = Adj.from_graph(g)
+        for _ in range(50):
+            a, b = rng.choice([0, rng.randrange(n)]), rng.randrange(n)
+            assert adj.bfs_path(a, b) == bfs_tree_path(g, a, b)
 
 
 @given(graph_and_vertex())
