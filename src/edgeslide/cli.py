@@ -9,7 +9,10 @@ euler-transform emit the script the library returns, which it has
 verified once by a full-check replay (``MoveError``, exit 1, if not);
 its other builders, such as ``move_edge``, only check each slide as
 they build it.  Outputs are written atomically and only after that, so
-a script file on disk is always a valid certificate.
+a script file on disk is always a valid certificate.  verify and replay
+check a ``.moves`` file in one pass that holds one move at a time; a
+parse error anywhere in the file still wins (exit 2) over a rejected
+move.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from .graph import (
     _parse_ints,
     _records,
     check_bijection,
-    identity_bijection,
     parse_graph,
     serialize_graph,
     stats,
@@ -110,8 +112,10 @@ def _parse_bijection(text: str, n: int) -> tuple[int, ...]:
     return check_bijection(forward, n)
 
 
-def _load_bijection(path: str | None, n: int) -> tuple[int, ...]:
-    return identity_bijection(n) if path is None else _load(path, _parse_bijection, n)
+def _load_bijection(path: str | None, n: int) -> range | tuple[int, ...]:
+    """The bijection file at path, or the identity on 0..n-1 as a range,
+    which costs nothing until a gate has accepted the graphs."""
+    return range(n) if path is None else _load(path, _parse_bijection, n)
 
 
 def _cmd_transform(args) -> int:
@@ -138,40 +142,44 @@ def _cmd_euler_transform(args) -> int:
     return 0
 
 
-def _rejected(what: str, path: str, lines, err: MoveError) -> int:
-    """Report a replay failure with the script line that holds the move."""
-    line = lines[err.index] if err.index is not None and err.index < len(lines) else "?"
-    print(f"{what} at {path} line {line}: {err}", file=sys.stderr)
-    return 1
+def _replay_file(args, check: str, failed: str):
+    """Replay the script file on the source graph in one pass, one move
+    held at a time: the final state and the move count, or None once a
+    rejected move is reported with its line.  A parse error anywhere in
+    the file names the file and wins over a rejected move."""
+    g = _load(args.source, parse_graph)
+    text = _read(args.script)
+    try:
+        return _replay_records(g, _parse_records(text), check)
+    except ParseError as err:
+        raise GraphError(f"{args.script}: {err}") from None
+    except MoveError as err:
+        print(f"{failed} at {args.script} line {err.line}: {err}", file=sys.stderr)
+        return None
 
 
 def _cmd_verify(args) -> int:
     if args.bijection is not None and args.expect is None:
         raise GraphError("--bijection needs --expect")
-    g = _load(args.source, parse_graph)
-    records, lines = _load(args.script, _parse_records)
-    try:
-        final = _replay_records(g, records, "full")
-    except MoveError as err:
-        return _rejected("verification failed", args.script, lines, err)
+    replayed = _replay_file(args, "full", "verification failed")
+    if replayed is None:
+        return 1
+    final, count = replayed
     if args.expect is not None:
         goal = _load(args.expect, parse_graph)
         psi = _load_bijection(args.bijection, goal.n)
         if not _maps_onto(final.nbrs, goal, psi):
             print("verification failed: replayed graph does not match the expected one", file=sys.stderr)
             return 1
-    print(f"OK: {len(records)} moves verified")
+    print(f"OK: {count} moves verified")
     return 0
 
 
 def _cmd_replay(args) -> int:
-    g = _load(args.source, parse_graph)
-    records, lines = _load(args.script, _parse_records)
-    try:
-        final = _replay_records(g, records, args.check).to_graph()
-    except MoveError as err:
-        return _rejected("replay rejected", args.script, lines, err)
-    _emit(serialize_graph(final), args.output)
+    replayed = _replay_file(args, args.check, "replay rejected")
+    if replayed is None:
+        return 1
+    _emit(serialize_graph(replayed[0].to_graph()), args.output)
     return 0
 
 

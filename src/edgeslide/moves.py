@@ -22,10 +22,13 @@ the pairs it wrote, which the full-check replay reads.  ``_TAGS`` maps
 each tag to its class, kernel and arity.  :func:`apply_move_adj` runs
 the kernel of a Move's kind; the engines call ``_slide`` on their ids
 and build the ``Slide`` they emit.  Replay
-and verification run one loop over ``(kernel, ids)`` records: a Move
-script gives them through ``_record``, and ``.moves`` text through one
-parser that builds no Move object, so checking a certificate file
-costs a tuple per move.
+and verification run one loop over ``(line, kernel, ids)`` records: a
+Move script gives them through ``_record``, and ``.moves`` text through
+one parser that builds no Move object and yields each record as it
+reads its line.  So a certificate file is checked in one pass that
+holds one move at a time, and a parse error anywhere in it still wins
+over a failed replay: the loop reads the rest of the records before it
+raises.
 
 The ``.moves`` text format has one move per line (``#`` comments allowed),
 the tag from ``_TAGS`` and then the fields in declared order::
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from ._adj import Adj
 from .graph import Graph, GraphError, ParseError, _maps_onto, _records, check_bijection
@@ -96,10 +99,12 @@ MoveScript = tuple[Move, ...]
 
 
 class MoveError(GraphError):
-    """A move was rejected; `index` is its position in the script, if any."""
+    """A move was rejected; `index` is its position in the script and
+    `line` its line in the ``.moves`` text, if any."""
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int | None = None, line: int | None = None):
         self.index = index
+        self.line = line
         if index is not None:
             message = f"move {index}: {message}"
         super().__init__(message)
@@ -233,19 +238,19 @@ _CLASS_OF = {kernel: cls for cls, kernel, _ in _TAGS.values()}
 
 
 def _record(m: Move) -> tuple:
-    """The ``(kernel, ids)`` record of a Move; a value of no move kind
-    gets a kernel that rejects it."""
+    """The ``(None, kernel, ids)`` record of a Move, which has no line;
+    a value of no move kind gets a kernel that rejects it."""
     kind = _KINDS.get(type(m))
     if kind is None:
-        return _unknown, (m,)
-    return kind[0], kind[1](m)
+        return None, _unknown, (m,)
+    return None, kind[0], kind[1](m)
 
 
 def apply_move_adj(adj: Adj, m: Move) -> tuple[int, ...]:
     """Check one move against adj, apply it, and return the pairs it
     wrote: the kernel of m's kind, looked up by type, on m's fields.
     The kernels above are where each kind is defined."""
-    kernel, ids = _record(m)
+    _, kernel, ids = _record(m)
     return kernel(adj, *ids)
 
 
@@ -283,39 +288,44 @@ def replay(g: Graph, script: Sequence[Move], check: str = "fast") -> Graph:
     keeps every other neighbor set in place and translates the script's
     ids at each move, and renumbers the sets once, after the last move.
     """
-    return _replay_adj(g, script, check).to_graph()
+    return _replay_records(g, map(_record, script), check)[0].to_graph()
 
 
-def _replay_adj(g: Graph, script: Sequence[Move], check: str) -> Adj:
-    """:func:`replay`, returning the final state as an ``Adj``."""
-    return _replay_records(g, map(_record, script), check)
+def _replay_records(g: Graph, records: Iterator[tuple], check: str) -> tuple[Adj, int]:
+    """The one replay loop: apply each ``(line, kernel, ids)`` record to
+    the state of g as it arrives, with :func:`replay`'s checks, and
+    return the final state and the number of records.  A rejected record
+    raises ``MoveError`` with its index and line.  Move scripts come here
+    through :func:`_record`, and ``.moves`` text through
+    :func:`_parse_records` with no Move object built and no record kept.
 
-
-def _replay_records(g: Graph, records: Iterable[tuple], check: str) -> Adj:
-    """The one replay loop: apply each ``(kernel, ids)`` record to the
-    state of g in turn, with :func:`replay`'s checks, and return the
-    final state.  A rejected record raises ``MoveError`` with its index.
-    Move scripts come here through :func:`_record`, and ``.moves`` text
-    through :func:`_parse_records` with no Move object built."""
+    When the replay fails, the rest of the records are read before the
+    failure is raised, so a ``ParseError`` further on in the text raises
+    in its place: a malformed file is refused as such whatever its
+    moves do."""
     if check not in ("fast", "full"):
         raise ValueError(f"check must be 'fast' or 'full', got {check!r}")
     full = check == "full"
     adj = Adj.from_graph(g)
     chi0 = g.n - g.e
-    if full and not adj.connected():
-        raise GraphError("full replay requires a connected start graph")
-    i = -1
-    for i, (kernel, ids) in enumerate(records):
-        try:
+    i, line = -1, None
+    try:
+        if full and not adj.connected():
+            raise GraphError("full replay requires a connected start graph")
+        for i, (line, kernel, ids) in enumerate(records):
             wrote = kernel(adj, *ids)
-        except MoveError as err:
-            raise MoveError(str(err), index=i) from None
-        if full and not _wrote_cleanly(adj.nbrs, wrote):
-            _check_state(adj, chi0, i)
-    if full and i >= 0:
-        _check_state(adj, chi0, i)
+            if full and not _wrote_cleanly(adj.nbrs, wrote):
+                _check_state(adj, chi0)
+        if full and i >= 0:
+            _check_state(adj, chi0)
+    except GraphError as err:
+        for _ in records:  # a ParseError here replaces err
+            pass
+        if isinstance(err, MoveError):
+            raise MoveError(str(err), index=i, line=line) from None
+        raise
     adj.compact()
-    return adj
+    return adj, i + 1
 
 
 def _verify_generated(
@@ -331,7 +341,7 @@ def _verify_generated(
     the goal raises ``MoveError`` too.  The goal check is the one behind
     ``is_isomorphic_under``, run on the replayed neighbor sets in place.
     """
-    final = _replay_adj(g, script, "full")
+    final = _replay_records(g, map(_record, script), "full")[0]
     if goal is not None and not _maps_onto(final.nbrs, goal, check_bijection(psi, goal.n)):
         raise MoveError("generated script does not verify against the goal graph")
     return script
@@ -361,7 +371,7 @@ def _wrote_cleanly(nbrs: list[set[int] | None], path: tuple[int, ...]) -> bool:
     return b in na and a in nb and a not in na and b not in nb
 
 
-def _check_state(adj: Adj, chi0: int, index: int) -> None:
+def _check_state(adj: Adj, chi0: int) -> None:
     """The whole-state check.  It renumbers the rows to the ids first,
     which reads only the live rows; an entry for a removed vertex
     becomes -1 there."""
@@ -370,30 +380,28 @@ def _check_state(adj: Adj, chi0: int, index: int) -> None:
     degs = adj.degrees()
     edge_count = sum(degs)
     if edge_count % 2:
-        raise MoveError("inconsistent adjacency: odd degree sum", index=index)
+        raise MoveError("inconsistent adjacency: odd degree sum")
     e = edge_count // 2
     chi = adj.n - e
     if chi != chi0:
-        raise MoveError(f"Euler characteristic drifted from {chi0} to {chi}", index=index)
+        raise MoveError(f"Euler characteristic drifted from {chi0} to {chi}")
     for v in range(adj.n):
         if v in nbrs[v]:
-            raise MoveError(f"loop created at vertex {v}", index=index)
+            raise MoveError(f"loop created at vertex {v}")
     for v in range(adj.n):
         if -1 in nbrs[v]:
-            raise MoveError(f"inconsistent adjacency: vertex {v} lists a removed vertex", index=index)
+            raise MoveError(f"inconsistent adjacency: vertex {v} lists a removed vertex")
     if not adj.connected():
-        raise MoveError("graph disconnected", index=index)
+        raise MoveError("graph disconnected")
 
 
 # ---------------------------------------------------------------------------
 # .moves text format
 
-def _parse_records(text: str) -> tuple[list[tuple], list[int]]:
-    """The one ``.moves`` parser: a ``(kernel, ids)`` record per move,
-    read off ``_TAGS``, and each move's line number.  A field is an
-    integer only when it is written in ASCII digits."""
-    records: list[tuple] = []
-    lines: list[int] = []
+def _parse_records(text: str) -> Iterator[tuple]:
+    """The one ``.moves`` parser: a ``(line, kernel, ids)`` record per
+    move, read off ``_TAGS`` and yielded as its line is read.  A field is
+    an integer only when it is written in ASCII digits."""
     for lineno, parts in _records(text):
         tag = parts[0]
         entry = _TAGS.get(tag)
@@ -406,15 +414,13 @@ def _parse_records(text: str) -> tuple[list[tuple], list[int]]:
         joined = "".join(parts)  # graph._parse_ints, inlined
         if not (joined.isdigit() and joined.isascii()):
             raise ParseError(lineno, "move arguments must be nonnegative integers")
-        records.append((kernel, tuple(map(int, parts))))
-        lines.append(lineno)
-    return records, lines
+        yield lineno, kernel, tuple(map(int, parts))
 
 
 def parse_script_lines(text: str) -> tuple[MoveScript, tuple[int, ...]]:
     """Parse a ``.moves`` document, also returning each move's line number."""
-    records, lines = _parse_records(text)
-    return tuple([_CLASS_OF[kernel](*ids) for kernel, ids in records]), tuple(lines)
+    records = list(_parse_records(text))
+    return tuple([_CLASS_OF[kernel](*ids) for _, kernel, ids in records]), tuple([r[0] for r in records])
 
 
 def parse_script(text: str) -> MoveScript:

@@ -250,9 +250,9 @@ def replay_checking_every_move(g: Graph, script):
     for i, m in enumerate(script):
         try:
             apply_move_adj(adj, m)
+            _check_state(adj, chi0)
         except MoveError as err:
             raise MoveError(str(err), index=i) from None
-        _check_state(adj, chi0, i)
     return adj.to_graph()
 
 

@@ -1,21 +1,26 @@
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import edgeslide
 from edgeslide import (
+    Graph,
     complete_graph,
     cycle_graph,
     parse_graph,
     parse_script,
     path_graph,
     serialize_graph,
+    serialize_script,
     star_graph,
 )
+from edgeslide._adj import Adj
 from edgeslide.cli import run
-from helpers import skip_first_relocation
+from helpers import removal_walk, skip_first_relocation
 
 
 @pytest.fixture
@@ -70,7 +75,7 @@ def test_transform_with_bijection_file(files):
     assert run(["verify", a, out, "--expect", b, "--bijection", str(m)]) == 0
 
 
-def test_verify_names_failing_line(files, capsys):
+def test_verify_names_failing_line(files, capsys, monkeypatch):
     tmp, write = files
     a = write("a.elist", path_graph(4))
     bad = tmp / "bad.moves"
@@ -79,6 +84,25 @@ def test_verify_names_failing_line(files, capsys):
     assert run(["verify", a, str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 3" in err
+    # a slide that writes one end only fails the whole-state check; the
+    # comments put move 1 on line 5
+    one_way = tmp / "one_way.moves"
+    one_way.write_text("# grow, then slide\nAP 0 4\n# the slide\n\nS 0 1 2\n# done\n", encoding="ascii")
+
+    def slide_forgetting_reverse_entry(adj, x, y, z):
+        adj.nbrs[x].discard(y)
+        adj.nbrs[y].discard(x)
+        adj.nbrs[x].add(z)  # z never learns about x
+
+    monkeypatch.setattr(Adj, "slide", slide_forgetting_reverse_entry)
+    for argv, failed in (
+        (["verify", a, str(one_way)], "verification failed"),
+        (["replay", a, str(one_way), "--check", "full"], "replay rejected"),
+    ):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"{failed} at {one_way} line 5: move 1: inconsistent adjacency: odd degree sum\n"
+        )
 
 
 def test_verify_expect_mismatch(files):
@@ -184,7 +208,7 @@ def test_generating_commands_apply_each_move_once(files, monkeypatch):
 
     monkeypatch.setattr(
         moves, "_replay_records",
-        lambda g, records, check: original(g, ((counted(k), ids) for k, ids in records), check),
+        lambda g, records, check: original(g, ((line, counted(k), ids) for line, k, ids in records), check),
     )
     tmp, write = files
     out = tmp / "s.moves"
@@ -249,11 +273,61 @@ def test_bijection_source_out_of_range_exits_two(files, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "replay"])
 def test_malformed_script_error_names_its_file(files, capsys, command):
+    # a parse error anywhere wins (exit 2) over an illegal move before it
+    # and over a disconnected source under the full check
     tmp, write = files
     a = write("a.elist", path_graph(4))
+    split = write("split.elist", Graph(4, [(0, 1), (2, 3)]))
+    full = ["--check", "full"] if command == "replay" else []
     bad = tmp / "bad.moves"
     bad.write_text("# one slide\nS 0 1\n", encoding="ascii")
-    _assert_one_error_line(run([command, a, str(bad)]), capsys, path=str(bad))
+    late = tmp / "late.moves"
+    late.write_text("S 0 1 3\n# the slide above is illegal on P4\nS 0 1 2\nS 0 1\n", encoding="ascii")
+    for argv, path, line in (
+        ([a, str(bad)], bad, 2),
+        ([a, str(late)], late, 4),
+        ([split, str(late), *full], late, 4),
+    ):
+        _assert_one_error_line(run([command, *argv]), capsys, path=f"{path}: line {line}")
+
+
+def _traced_peak(argv) -> tuple[int, int]:
+    """The exit code of the CLI on argv and the peak of its traced
+    allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checking_a_certificate_holds_one_move_at_a_time(files, capsys):
+    # each record is replayed as its line is parsed, so the peak is the
+    # text and its list of lines, about 90 bytes a move, where a list of
+    # records and one of line numbers held about 250
+    tmp, write = files
+    g, script, _ = removal_walk(30, 45, 50_000, random.Random(7))
+    a = write("g.elist", g)
+    s = tmp / "s.moves"
+    s.write_text(serialize_script(script), encoding="ascii")
+    for command in ("verify", "replay"):
+        code, peak = _traced_peak([command, a, str(s)])
+        assert code == 0
+        assert peak < 8_000_000
+    assert capsys.readouterr().out.startswith("OK: 50000 moves verified\n")
+
+
+def test_header_only_transform_builds_no_bijection(files, capsys):
+    # without --bijection the identity stays a range, so the gate refuses
+    # the header-only graphs before a map of n entries is built
+    tmp, _ = files
+    n = 200_000
+    big = tmp / "big.elist"
+    big.write_text(f"p {n} 0\n", encoding="ascii")
+    code, peak = _traced_peak(["transform", str(big), str(big)])
+    _assert_one_error_line(code, capsys)
+    assert peak < 40 * n
 
 
 @pytest.mark.parametrize("command", ["transform", "verify"])

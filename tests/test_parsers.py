@@ -251,18 +251,18 @@ def test_parse_graph_matches_the_reference(data):
 def test_moves_parsers_match_the_reference(data):
     text = data.draw(mutated(data.draw(moves_lines())))
     want = outcome(ref_parse_moves, text)
-    got = outcome(_parse_records, text)
+    got = outcome(lambda t: list(_parse_records(t)), text)
     script = outcome(parse_script_lines, text)
     if want[0] == "refused":
         assert got == script == want
         return
-    records, lines = got[1]
+    records = got[1]
     moves, move_lines = script[1]
-    assert list(move_lines) == lines == [number for number, _, _ in want[1]]
+    assert list(move_lines) == [line for line, _, _ in records] == [number for number, _, _ in want[1]]
     assert list(moves) == [CLASS[tag](*ids) for _, tag, ids in want[1]]
-    assert all(type(i) is int for _, ids in records for i in ids)
+    assert all(type(i) is int for _, _, ids in records for i in ids)
     # each record holds its kind's kernel, and builds the parsed Move
-    assert [_CLASS_OF[kernel](*ids) for kernel, ids in records] == list(moves)
+    assert [_CLASS_OF[kernel](*ids) for _, kernel, ids in records] == list(moves)
 
 
 @settings(max_examples=300, deadline=None)

@@ -243,5 +243,5 @@ def test_whole_state_check_rejects_a_row_listing_a_removed_vertex():
     apply_move_adj(adj, RemoveLeaf(5, 0))
     adj.nbrs[2].add(5)
     adj.nbrs[2].discard(1)
-    with pytest.raises(MoveError, match="move 1: inconsistent adjacency: vertex 2 lists a removed vertex"):
-        _check_state(adj, chi0, 1)
+    with pytest.raises(MoveError, match="^inconsistent adjacency: vertex 2 lists a removed vertex$"):
+        _check_state(adj, chi0)
